@@ -25,7 +25,6 @@ from .matching import JoinPointBinding, VariabilityProfile, bind_aspects, match_
 from .metrics import (
     MetricsResult,
     NodeVD,
-    aggregate,
     join_point_weights,
     linear_weight_oracle,
     process_adaptability,
@@ -42,7 +41,6 @@ from .model import (
     BranchLabel,
     ProcessModel,
     find_join_points,
-    is_eligible_child,
     is_join_point,
     iter_activities,
     resolve_path,
@@ -90,12 +88,10 @@ __all__ = [
     "UnsupportedElement",
     "VariabilityProfile",
     "VariabilitySlot",
-    "aggregate",
     "bind_aspects",
     "enumerate_slots",
     "exhaustive_sweep",
     "find_join_points",
-    "is_eligible_child",
     "is_join_point",
     "iter_activities",
     "join_point_weights",

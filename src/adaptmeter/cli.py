@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="chart PAM as variabilities are added one by one")
     sweep.add_argument("process", help="process file (.bpel or .xml)")
-    sweep.add_argument("--aspects", action="append", default=[], metavar="PATH",
-                       help="accepted for interface symmetry; a sweep fills slots itself")
     sweep.add_argument("--cases", type=int, default=3, metavar="K",
                        help="number of random placement orders (default 3)")
     sweep.add_argument("--seed", type=int, default=42, metavar="S",

@@ -10,19 +10,11 @@ nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    ADVICE_TYPES,
-    Activity,
-    ActivityPath,
-    AnalysisConfig,
-    ProcessModel,
-    is_join_point,
-    iter_activities,
-    resolve_path,
-)
+from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel
 from .parsing import Aspect
 from .selectors import PointcutSelector, SelectorStep
 
@@ -88,24 +80,25 @@ class VariabilityProfile:
         return cls(entries, tuple(ordered), raw_counts, warnings)
 
 
-def _step_matches_activity(step: SelectorStep, activity: Activity) -> bool:
-    if step.element != activity.kind:
-        return False
+def _predicates_hold(step: SelectorStep, target: Activity | ProcessModel) -> bool:
     for attribute, value in step.predicates:
-        actual = activity.name if attribute == "name" else activity.attributes.get(attribute)
+        actual = target.name if attribute == "name" else target.attributes.get(attribute)
         if actual != value:
             return False
     return True
 
 
-def _step_matches_process(step: SelectorStep, process: ProcessModel) -> bool:
-    if step.element != "process":
-        return False
-    for attribute, value in step.predicates:
-        actual = process.name if attribute == "name" else process.attributes.get(attribute)
-        if actual != value:
-            return False
-    return True
+def _within(ranks: list[int], contexts: list[int], ends: Sequence[int]) -> list[int]:
+    """The ranks that lie in some context's subtree; both lists ascending."""
+    # Subtrees nest or are disjoint, so the outermost contexts cover the
+    # rest: their rank ranges are disjoint and sorted.
+    starts: list[int] = []
+    stops: list[int] = []
+    for context in contexts:
+        if not stops or context >= stops[-1]:
+            starts.append(context)
+            stops.append(ends[context])
+    return [rank for rank in ranks if (i := bisect_right(starts, rank)) and rank < stops[i - 1]]
 
 
 def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
@@ -116,26 +109,17 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
     ``process`` step may match itself. A final match on the document
     root has no activity path and is dropped from the result.
     """
-    nodes = list(iter_activities(process))
-    # None stands for the document root (the <process> element).
-    contexts: list[ActivityPath | None] = [None]
+    index = process.index
+    # The document root (the <process> element) contains every activity.
+    at_root = True
+    ranks: list[int] = []
     for step in selector.steps:
-        matched: dict[ActivityPath | None, None] = {}
-        for context in contexts:
-            if context is None:
-                if _step_matches_process(step, process):
-                    matched.setdefault(None)
-                for path, activity in nodes:
-                    if _step_matches_activity(step, activity):
-                        matched.setdefault(path)
-            else:
-                for path, activity in nodes:
-                    if (path == context or context.is_ancestor_of(path)) and _step_matches_activity(step, activity):
-                        matched.setdefault(path)
-        contexts = list(matched)
-        if not contexts:
+        found = [rank for rank in index.by_kind.get(step.element, ()) if _predicates_hold(step, index.activities[rank])]
+        ranks = found if at_root else _within(found, ranks, index.ends)
+        at_root = at_root and step.element == "process" and _predicates_hold(step, process)
+        if not ranks and not at_root:
             break
-    return sorted((path for path in contexts if path is not None), key=lambda p: p.order_key)
+    return [index.paths[rank] for rank in ranks]
 
 
 def bind_aspects(
@@ -158,12 +142,11 @@ def bind_aspects(
                 warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': selector matched no activities")
                 continue
             for path in paths:
-                activity = resolve_path(process, path)
-                if is_join_point(activity, config):
+                if path.kind in config.join_point_kinds:
                     bindings.append(JoinPointBinding(aspect.name, pointcut.name, path, aspect.advice_type))
                 else:
                     warnings.append(
                         f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
-                        f"match at {path} is not a join point (<{activity.kind}>); skipped"
+                        f"match at {path} is not a join point (<{path.kind}>); skipped"
                     )
     return VariabilityProfile._from_bindings(bindings, tuple(warnings))

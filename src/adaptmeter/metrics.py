@@ -18,11 +18,11 @@ their members:
 The process adaptability metric PAM is the VD of the root activity.
 
 All arithmetic uses exact rationals (fractions.Fraction); nothing is
-rounded before a report is rendered. The recursive aggregation is
-linear in the per-join-point degrees, which `linear_weight_oracle`
-exploits as an independent cross-check: PAM equals the weight of each
-join point (the product of 1/n over its ancestors) times its VD,
-summed.
+rounded before a report is rendered. Aggregation is one bottom-up pass
+over the process index, and it is linear in the per-join-point degrees:
+PAM equals the weight of each join point (the product of 1/n over its
+ancestors) times its VD, summed. `linear_weight_oracle` computes PAM
+that way, and sweeps use the weights to update PAM slot by slot.
 """
 
 from __future__ import annotations
@@ -32,16 +32,7 @@ from fractions import Fraction
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
 from .matching import VariabilityProfile
-from .model import (
-    Activity,
-    ActivityPath,
-    AnalysisConfig,
-    BRANCHING_KINDS,
-    ProcessModel,
-    is_eligible_child,
-    is_join_point,
-    iter_activities,
-)
+from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
 
 
 @dataclass(frozen=True)
@@ -65,9 +56,11 @@ class NodeVD:
 
     def walk(self):
         """Yield this node and every descendant in pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -100,73 +93,76 @@ def variability_degree(vv: int, reference_value: int) -> Fraction:
     return Fraction(vv, reference_value)
 
 
-def _divisor(activity: Activity, config: AnalysisConfig) -> int:
-    if activity.kind in BRANCHING_KINDS:
-        return len(activity.children)
-    return sum(1 for child in activity.children if is_eligible_child(child, config))
+def _divisors(index: ProcessIndex, config: AnalysisConfig) -> list[int]:
+    """The divisor n of every rank, from one bottom-up pass.
 
-
-def aggregate(
-    activity: Activity, path: ActivityPath, profile: VariabilityProfile, config: AnalysisConfig
-) -> NodeVD:
-    """Recursively compute the VD tree rooted at one activity."""
-    if activity.is_basic:
-        if is_join_point(activity, config):
-            vv = variability_value(profile, path, config)
-            return NodeVD(path, activity.kind, variability_degree(vv, config.reference_value), vv=vv)
-        return NodeVD(path, activity.kind, Fraction(0))
-    children = tuple(
-        aggregate(child, path.child(child.kind, index), profile, config)
-        for index, child in enumerate(activity.children)
-    )
-    n = _divisor(activity, config)
-    # Ineligible children aggregate to zero, so summing all of them
-    # equals summing the eligible ones; only the divisor differs.
-    total = sum((child.vd for child in children), Fraction(0))
-    vd = total / n if n else Fraction(0)
-    return NodeVD(path, activity.kind, vd, n_used=n, children=children)
+    Branching nodes count every child; other structured nodes count the
+    eligible ones: join points, and structured children with a join
+    point below them. Basic ranks get n = 0.
+    """
+    eligible = [is_join_point(activity, config) for activity in index.activities]
+    divisors = [0] * len(eligible)
+    for rank in range(len(eligible) - 1, 0, -1):
+        parent = index.parents[rank]
+        eligible[parent] = eligible[parent] or eligible[rank]
+        if eligible[rank] or index.activities[parent].kind in BRANCHING_KINDS:
+            divisors[parent] += 1
+    return divisors
 
 
 def process_adaptability(
     process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig
 ) -> MetricsResult:
     """Evaluate the whole process: PAM is the root activity's VD."""
-    root = aggregate(process.root, ActivityPath.root(process.root.kind), profile, config)
-    return MetricsResult(
-        process_name=process.name,
-        root=root,
-        pam=root.vd,
-        config_used=config,
-        warnings=profile.warnings,
-    )
+    index = process.index
+    # Join points are scored in pre-order, so ReferenceTooSmall reports
+    # the first offending one in document order.
+    nodes: list[NodeVD | None] = [None] * len(index.paths)
+    for rank, (path, activity) in enumerate(zip(index.paths, index.activities)):
+        if is_join_point(activity, config):
+            vv = variability_value(profile, path, config)
+            nodes[rank] = NodeVD(path, activity.kind, variability_degree(vv, config.reference_value), vv=vv)
+        elif activity.is_basic:
+            nodes[rank] = NodeVD(path, activity.kind, Fraction(0))
+    divisors = _divisors(index, config)
+    for rank in range(len(nodes) - 1, -1, -1):
+        if nodes[rank] is not None:
+            continue
+        children = tuple(nodes[child] for child in index.children(rank))
+        n = divisors[rank]
+        # Ineligible children score zero, so summing all of them equals
+        # summing the eligible ones; only the divisor differs.
+        total = sum((child.vd for child in children), Fraction(0))
+        vd = total / n if n else Fraction(0)
+        nodes[rank] = NodeVD(index.paths[rank], index.activities[rank].kind, vd, n_used=n, children=children)
+    return MetricsResult(process.name, nodes[0], nodes[0].vd, config, profile.warnings)
 
 
 def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
-    """Weight of each join point: the product of 1/n over its ancestors.
+    """Weight of each join point, in pre-order: the product of 1/n over its ancestors.
 
     A join point's weight is how much one unit of its VD moves the
     process result. Weights use the same divisors as aggregation, and
     every ancestor of a join point has n >= 1 by construction.
     """
-    nodes = dict(iter_activities(process))
+    index = process.index
+    divisors = _divisors(index, config)
+    node_weights = [Fraction(1)] * len(divisors)
     weights: dict[ActivityPath, Fraction] = {}
-    for path, activity in nodes.items():
-        if not is_join_point(activity, config):
-            continue
-        weight = Fraction(1)
-        for ancestor in path.ancestors():
-            weight /= _divisor(nodes[ancestor], config)
-        weights[path] = weight
+    for rank in range(1, len(divisors)):
+        n = divisors[index.parents[rank]]
+        node_weights[rank] = node_weights[index.parents[rank]] / n if n else Fraction(0)
+        if is_join_point(index.activities[rank], config):
+            weights[index.paths[rank]] = node_weights[rank]
     return weights
 
 
 def linear_weight_oracle(
     process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig
 ) -> Fraction:
-    """Non-recursive PAM: sum of weight(p) * VD(p) over all join points.
+    """PAM as the sum of weight(p) * VD(p) over all join points.
 
-    Must agree exactly with `process_adaptability`; kept as a separate
-    computation path for cross-checking.
+    Must agree exactly with `process_adaptability`.
     """
     total = Fraction(0)
     for path, weight in join_point_weights(process, config).items():

@@ -8,13 +8,15 @@ only nodes with children. Every node has a stable address of the form
 bindings and per-node metric results.
 
 The model is immutable after construction and safe to share across
-threads.
+threads. Each process builds one pre-order `ProcessIndex` on first use,
+and every layer reads its nodes from there instead of walking the tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import ConfigError, StructuralError
@@ -48,17 +50,6 @@ class BranchLabel:
 
     element: str
     attributes: Mapping[str, str] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """Short human-readable form used in reports."""
-        detail = None
-        if self.element == "case":
-            detail = self.attributes.get("condition")
-        elif self.element == "onMessage":
-            detail = self.attributes.get("operation")
-        elif self.element == "onAlarm":
-            detail = self.attributes.get("for") or self.attributes.get("until")
-        return f"{self.element}: {detail}" if detail else self.element
 
 
 @dataclass(frozen=True)
@@ -154,14 +145,6 @@ class ActivityPath:
     def depth(self) -> int:
         return len(self.steps)
 
-    def ancestors(self) -> Iterator[ActivityPath]:
-        """Proper ancestors, root first."""
-        for i in range(1, len(self.steps)):
-            yield ActivityPath(self.steps[:i])
-
-    def is_ancestor_of(self, other: ActivityPath) -> bool:
-        return len(self.steps) < len(other.steps) and other.steps[: len(self.steps)] == self.steps
-
     @property
     def order_key(self) -> tuple:
         return (tuple(index for _, index in self.steps), self.steps)
@@ -171,6 +154,56 @@ class ActivityPath:
 
     def __str__(self) -> str:
         return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in self.steps)
+
+
+@dataclass(frozen=True, eq=False)
+class ProcessIndex:
+    """Pre-order ranks of one activity tree, shared by every layer.
+
+    Rank 0 is the root. The node at rank r has address ``paths[r]``,
+    activity ``activities[r]`` and parent rank ``parents[r]`` (-1 at the
+    root); its subtree is exactly the ranks r .. ``ends[r]`` - 1.
+    ``by_kind`` lists each kind's ranks in ascending order. So u is a
+    descendant-or-self of v iff v <= u < ends[v]: the pre/post-plane
+    containment test of Grust, "Accelerating XPath Location Steps"
+    (SIGMOD 2002).
+    """
+
+    paths: tuple[ActivityPath, ...]
+    activities: tuple[Activity, ...]
+    parents: tuple[int, ...]
+    ends: tuple[int, ...]
+    by_kind: Mapping[str, tuple[int, ...]]
+
+    @classmethod
+    def build(cls, root: Activity) -> ProcessIndex:
+        """Index a tree in one iterative pre-order pass."""
+        paths, activities, parents = [], [], []
+        by_kind: dict[str, list[int]] = {}
+        stack = [(ActivityPath.root(root.kind), root, -1)]
+        while stack:
+            path, activity, parent = stack.pop()
+            rank = len(activities)
+            paths.append(path)
+            activities.append(activity)
+            parents.append(parent)
+            by_kind.setdefault(activity.kind, []).append(rank)
+            children = reversed(tuple(enumerate(activity.children)))
+            stack.extend((path.child(child.kind, index), child, rank) for index, child in children)
+        ends = list(range(1, len(activities) + 1))
+        # Descendants outrank their ancestors, so sweeping ranks downwards
+        # closes every subtree before it extends its parent's.
+        for rank in range(len(activities) - 1, 0, -1):
+            ends[parents[rank]] = max(ends[parents[rank]], ends[rank])
+        kinds = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
+        return cls(tuple(paths), tuple(activities), tuple(parents), tuple(ends), kinds)
+
+    def children(self, rank: int) -> Iterator[int]:
+        """Ranks of the node's children, in order."""
+        child = rank + 1
+        while child < self.ends[rank]:
+            yield child
+            child = self.ends[child]
 
 
 @dataclass(frozen=True)
@@ -192,6 +225,11 @@ class ProcessModel:
             raise StructuralError("process requires a non-empty name")
         if not self.root.is_structured:
             raise StructuralError("process root activity must be structured")
+
+    @cached_property
+    def index(self) -> ProcessIndex:
+        """The tree's pre-order index, built on first use."""
+        return ProcessIndex.build(self.root)
 
 
 @dataclass(frozen=True)
@@ -224,14 +262,9 @@ class AnalysisConfig:
 
 
 def iter_activities(process: ProcessModel) -> Iterator[tuple[ActivityPath, Activity]]:
-    """Yield every (path, activity) pair in depth-first pre-order, root first."""
-
-    def walk(path: ActivityPath, activity: Activity) -> Iterator[tuple[ActivityPath, Activity]]:
-        yield path, activity
-        for index, child in enumerate(activity.children):
-            yield from walk(path.child(child.kind, index), child)
-
-    yield from walk(ActivityPath.root(process.root.kind), process.root)
+    """Every (path, activity) pair in depth-first pre-order, root first."""
+    index = process.index
+    return zip(index.paths, index.activities)
 
 
 def resolve_path(process: ProcessModel, path: ActivityPath) -> Activity:
@@ -255,26 +288,6 @@ def resolve_path(process: ProcessModel, path: ActivityPath) -> Activity:
 def is_join_point(activity: Activity, config: AnalysisConfig) -> bool:
     """True when advice can attach to this activity."""
     return activity.kind in config.join_point_kinds
-
-
-def is_eligible_child(activity: Activity, config: AnalysisConfig) -> bool:
-    """True when the activity counts toward a sequence/flow/while divisor.
-
-    That is: it is a join point itself, or a structured activity with at
-    least one join-point descendant. Inert scaffolding (e.g. a bare
-    assign) is not eligible and must not dilute the mean.
-    """
-    if is_join_point(activity, config):
-        return True
-    if activity.is_basic:
-        return False
-    stack = list(activity.children)
-    while stack:
-        node = stack.pop()
-        if is_join_point(node, config):
-            return True
-        stack.extend(node.children)
-    return False
 
 
 def find_join_points(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, Activity]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from .errors import BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError, UnsupportedElement
 from .model import (
@@ -144,11 +143,11 @@ def _parse_activity(node: _XmlNode) -> Activity:
             )
         children.append(_parse_activity(branch.children[0]))
         labels.append(BranchLabel(branch.tag, dict(branch.attributes)))
-    if not children:
-        raise StructuralError(f"<{node.tag}> requires at least one branch", line=node.line)
-    if node.tag == "switch" and sum(1 for label in labels if label.element == "otherwise") > 1:
-        raise StructuralError("<switch> allows at most one <otherwise> branch", line=node.line)
-    return Activity(node.tag, name, attributes, tuple(children), tuple(labels))
+    try:
+        return Activity(node.tag, name, attributes, tuple(children), tuple(labels))
+    except StructuralError as exc:
+        exc.line = node.line
+        raise
 
 
 def parse_process(source: str | IO[str]) -> ProcessModel:
@@ -269,7 +268,7 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
 def _attr_text(attributes: dict[str, str]) -> str:
     parts = []
     for key in sorted(attributes):
-        value = escape(attributes[key], {'"': "&quot;"})
+        value = attributes[key].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
         parts.append(f' {key}="{value}"')
     return "".join(parts)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .metrics import MetricsResult, NodeVD
-from .model import ProcessModel, resolve_path
+from .model import ProcessModel
 from .sweep import SweepResult
 
 SCHEMA_VERSION = "1"
@@ -30,11 +30,10 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
     return text
 
 
-def _node_label(node: NodeVD, process: ProcessModel) -> str:
+def _node_label(node: NodeVD, name: str | None) -> str:
     indent = "  " * (node.path.depth - 1)
     kind, index = node.path.steps[-1]
     label = f"{indent}{kind}[{index}]"
-    name = resolve_path(process, node.path).name
     if name:
         label += f" '{name}'"
     return label
@@ -50,7 +49,7 @@ def _node_detail(node: NodeVD) -> str:
 
 
 def render_text(result: MetricsResult, process: ProcessModel, color: bool = False) -> str:
-    """Human-readable report; ends with the PAM line."""
+    """Human-readable report of a result computed on ``process``; ends with the PAM line."""
     config = result.config_used
     lines = [
         f"process: {result.process_name}",
@@ -59,8 +58,9 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
         f"count mode: {config.count_mode}",
         "",
     ]
+    # The VD walk and the process index are both in pre-order.
     nodes = list(result.root.walk())
-    labels = [_node_label(node, process) for node in nodes]
+    labels = [_node_label(node, activity.name) for node, activity in zip(nodes, process.index.activities)]
     width = max(len(label) for label in labels) + 2
     for label, node in zip(labels, nodes):
         lines.append(f"{label:<{width}}{_node_detail(node)}")

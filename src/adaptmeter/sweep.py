@@ -19,8 +19,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import SweepLimitError
-from .matching import VariabilityProfile
-from .metrics import join_point_weights, process_adaptability, variability_degree
+from .metrics import join_point_weights, variability_degree
 from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, find_join_points
 
 EXHAUSTIVE_SLOT_LIMIT = 12
@@ -64,14 +63,28 @@ def sweep_case(
     config: AnalysisConfig,
     case_id: int = 0,
 ) -> SweepCase:
-    """Fill slots in the given order, recording PAM after each addition."""
-    series = []
-    for count in range(len(order) + 1):
-        profile = VariabilityProfile.from_assignments(
-            (slot.path, slot.advice_type) for slot in order[:count]
-        )
-        result = process_adaptability(process, profile, config)
-        series.append((count, result.pam))
+    """Fill slots in the given order, recording PAM after each addition.
+
+    PAM is linear in the join-point VDs, so each slot that raises a join
+    point's VV adds weight / R. Slots on other paths, repeated types in
+    set mode and slots past R in raw-clamped mode add nothing.
+    """
+    reference = config.reference_value
+    steps = {path: weight / reference for path, weight in join_point_weights(process, config).items()}
+    clamp = config.count_mode == "raw-clamped"
+    placed: set[tuple[ActivityPath, str]] = set()
+    vvs: dict[ActivityPath, int] = {}
+    pam = Fraction(0)
+    series = [(0, pam)]
+    for count, slot in enumerate(order, 1):
+        vv = vvs.get(slot.path, 0)
+        raised = vv < reference if clamp else (slot.path, slot.advice_type) not in placed
+        placed.add((slot.path, slot.advice_type))
+        if raised and slot.path in steps:
+            variability_degree(vv + 1, reference)  # raises ReferenceTooSmall past R
+            vvs[slot.path] = vv + 1
+            pam += steps[slot.path]
+        series.append((count, pam))
     return SweepCase(case_id, tuple(order), tuple(series))
 
 
@@ -117,7 +130,7 @@ def exhaustive_sweep(
     """Envelope over every slot subset: (count, min, mean, max) per count.
 
     PAM is evaluated through the join-point weights, which the linearity
-    of the aggregation guarantees to match the recursive computation.
+    of the aggregation guarantees to match the tree computation.
     """
     slots = enumerate_slots(process, config)
     if len(slots) > max_slots:

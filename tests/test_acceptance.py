@@ -114,13 +114,13 @@ def test_criterion_4_oracle_equivalence(config):
     for _ in range(1000):
         process = random_process(rng, max_depth=4, max_nodes=20)
         profile = random_profile(rng, process, config)
-        recursive = process_adaptability(process, profile, config).pam
+        aggregated = process_adaptability(process, profile, config).pam
         oracle = linear_weight_oracle(process, profile, config)
-        assert recursive == oracle
-        assert abs(float(recursive) - float(oracle)) < 1e-12
+        assert aggregated == oracle
+        assert abs(float(aggregated) - float(oracle)) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    print(f"PASS criterion 4: aggregate == weight oracle on 1000 random trees ({elapsed:.2f}s)")
+    print(f"PASS criterion 4: tree aggregation == weight oracle on 1000 random trees ({elapsed:.2f}s)")
 
 
 def test_criterion_5_monotonicity(config):

@@ -97,6 +97,18 @@ class TestAnalyze:
         assert f"{bad}:3:" in err
         assert "foreach" in err
 
+    def test_branch_structure_error_names_the_switch_line(self, tmp_path, capsys):
+        bad = tmp_path / "twice.bpel"
+        bad.write_text(
+            '<process name="p">\n<sequence>\n<switch>\n'
+            "<otherwise><invoke/></otherwise>\n<otherwise><invoke/></otherwise>\n"
+            "</switch>\n</sequence>\n</process>"
+        )
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}:3: <switch> allows at most one <otherwise> branch\n"
+
     def test_malformed_xml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.bpel"
         bad.write_text('<process name="p">\n<sequence>\n</process>')
@@ -225,10 +237,11 @@ class TestSweepCommand:
         assert code == 1
         assert "--cases" in err
 
-    def test_aspects_flag_accepted_and_ignored(self, capsys):
-        _, plain, _ = run_cli(capsys, "sweep", MINI, "--cases", "1", "--seed", "3")
-        _, with_aspects, _ = run_cli(capsys, "sweep", MINI, "--cases", "1", "--seed", "3", "--aspects", ASPECTS_DIR)
-        assert plain == with_aspects
+    def test_aspects_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", MINI, "--cases", "1", "--aspects", ASPECTS_DIR)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --aspects" in err
 
 
 class TestCompareCommand:

@@ -25,7 +25,6 @@ from adaptmeter import (
     ProcessModel,
     ReferenceTooSmall,
     VariabilityProfile,
-    aggregate,
     bind_aspects,
     find_join_points,
     join_point_weights,
@@ -151,14 +150,14 @@ class TestAggregate:
         assert by_path["/process/sequence[0]/assign[1]"].vd == 0
 
     def test_empty_flow_scores_zero(self, config):
-        flow = Activity("flow")
-        node = aggregate(flow, ActivityPath.root("flow"), VariabilityProfile.empty(), config)
+        process = ProcessModel(name="p", root=Activity("flow"))
+        node = process_adaptability(process, VariabilityProfile.empty(), config).root
         assert node.vd == 0
         assert node.n_used == 0
 
     def test_flow_of_assigns_scores_zero(self, config):
         flow = Activity("flow", children=(Activity("assign"), Activity("assign")))
-        node = aggregate(flow, ActivityPath.root("flow"), VariabilityProfile.empty(), config)
+        node = process_adaptability(ProcessModel(name="p", root=flow), VariabilityProfile.empty(), config).root
         assert node.vd == 0
         assert node.n_used == 0
 

@@ -14,11 +14,12 @@ from adaptmeter import (
     ConfigError,
     ProcessModel,
     StructuralError,
-    is_eligible_child,
     is_join_point,
     iter_activities,
     resolve_path,
 )
+from adaptmeter.model import ProcessIndex
+from oracles import is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
 
 
@@ -84,12 +85,33 @@ class TestActivityPath:
         with pytest.raises(ValueError):
             resolve_path(travel_process, ActivityPath.from_text("/process/sequence[0]/invoke[0]"))
 
-    def test_ancestors_are_proper_prefixes(self):
-        path = ActivityPath.from_text("/process/sequence[0]/switch[2]/invoke[0]")
-        ancestors = list(path.ancestors())
-        assert [str(a) for a in ancestors] == ["/process/sequence[0]", "/process/sequence[0]/switch[2]"]
-        assert all(a.is_ancestor_of(path) for a in ancestors)
-        assert not path.is_ancestor_of(path)
+
+class TestProcessIndex:
+    def test_built_once_per_process(self, travel_process):
+        assert travel_process.index is travel_process.index
+
+    def test_matches_recursive_walk(self):
+        rng = random.Random(20211)
+        for _ in range(50):
+            process = random_process(rng, max_nodes=20)
+            index = ProcessIndex.build(process.root)
+            expected = list(walk(process))
+            assert list(zip(index.paths, index.activities)) == expected
+            for kind, ranks in index.by_kind.items():
+                assert list(ranks) == [rank for rank, (_, a) in enumerate(expected) if a.kind == kind]
+
+    def test_subtree_ranges_hold_exactly_the_descendants(self):
+        rng = random.Random(20212)
+        for _ in range(50):
+            index = random_process(rng, max_nodes=20).index
+            for rank, path in enumerate(index.paths):
+                inside = {other for other in range(len(index.paths)) if is_ancestor_of(path, index.paths[other])}
+                assert inside == set(range(rank + 1, index.ends[rank]))
+                if rank:
+                    assert is_ancestor_of(index.paths[index.parents[rank]], path)
+                    assert index.paths[index.parents[rank]].depth == path.depth - 1
+                children = list(index.children(rank))
+                assert [index.activities[child] for child in children] == list(index.activities[rank].children)
 
 
 class TestJoinPointClassification:
@@ -113,6 +135,8 @@ class TestJoinPointClassification:
 
 
 class TestEligibleChild:
+    """The test oracle's eligibility rule; metrics derives the same from the index."""
+
     def test_switch_with_invoke_descendants_is_eligible(self, travel_process, config):
         switch = resolve_path(travel_process, ActivityPath.from_text("/process/sequence[0]/switch[2]"))
         assert is_eligible_child(switch, config)

@@ -112,6 +112,35 @@ class TestParseProcess:
         with pytest.raises(StructuralError):
             parse_process(doc)
 
+    def test_empty_branching_activity_error_carries_its_line(self):
+        for kind in ("switch", "pick"):
+            doc = f'<process name="p">\n<sequence>\n<invoke/>\n<{kind}>\n</{kind}>\n</sequence>\n</process>'
+            with pytest.raises(StructuralError) as excinfo:
+                parse_process(doc)
+            assert str(excinfo.value) == f"<{kind}> requires at least one branch"
+            assert excinfo.value.line == 4
+
+    def test_double_otherwise_error_carries_the_switch_line(self):
+        doc = (
+            '<process name="p">\n<sequence>\n<receive/>\n'
+            '<switch name="s">\n<case condition="c">\n<invoke/>\n</case>\n'
+            "<otherwise><invoke/></otherwise>\n<otherwise><reply/></otherwise>\n"
+            "</switch>\n</sequence>\n</process>"
+        )
+        with pytest.raises(StructuralError) as excinfo:
+            parse_process(doc)
+        assert str(excinfo.value) == "<switch> allows at most one <otherwise> branch"
+        assert excinfo.value.line == 4
+
+    def test_nested_branch_error_keeps_the_inner_line(self):
+        doc = (
+            '<process name="p">\n<sequence>\n<pick>\n<onMessage operation="m">\n'
+            "<switch>\n</switch>\n</onMessage>\n</pick>\n</sequence>\n</process>"
+        )
+        with pytest.raises(StructuralError) as excinfo:
+            parse_process(doc)
+        assert excinfo.value.line == 5
+
     def test_pick_branch_elements_checked(self):
         doc = '<process name="p"><sequence><pick><case condition="c"><invoke/></case></pick></sequence></process>'
         with pytest.raises(UnsupportedElement):
@@ -259,6 +288,25 @@ class TestSerializeProcess:
             "</process>\n"
         )
         assert serialize_process(parse_process(doc)) == expected
+
+    def test_canonical_form_escapes_attribute_values(self):
+        doc = (
+            '<process name="a&amp;b"><sequence>'
+            '<invoke operation="x &lt; y &gt; z" note="say &quot;hi&quot; &amp; go"/>'
+            "</sequence></process>"
+        )
+        expected = (
+            '<?xml version="1.0" encoding="utf-8"?>\n'
+            '<process name="a&amp;b">\n'
+            "  <sequence>\n"
+            '    <invoke note="say &quot;hi&quot; &amp; go" operation="x &lt; y &gt; z"/>\n'
+            "  </sequence>\n"
+            "</process>\n"
+        )
+        process = parse_process(doc)
+        assert process.root.children[0].attributes["note"] == 'say "hi" & go'
+        assert serialize_process(process) == expected
+        assert parse_process(expected) == process
 
     def test_serialization_is_stable(self, travel_process):
         assert serialize_process(travel_process) == serialize_process(travel_process)

@@ -146,7 +146,7 @@ class TestExhaustiveSweep:
 
     def test_envelope_matches_recursive_enumeration(self, mini_process, config):
         # independent oracle: evaluate every subset through the full
-        # recursive aggregation instead of the weight shortcut
+        # tree aggregation instead of the weight shortcut
         slots = enumerate_slots(mini_process, config)
         rows = exhaustive_sweep(mini_process, config)
         for count, low, mean, high in rows:
