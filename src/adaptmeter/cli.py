@@ -119,8 +119,8 @@ def _load_aspects(path_args: list[str]) -> tuple[list[Aspect], list[str]]:
     """Expand --aspects arguments; directories are scanned non-recursively.
 
     In a directory, *.xml files without an <aspect> root are skipped,
-    and unreadable XML is skipped with a note; a file named directly
-    must parse.
+    and unreadable XML (malformed, or not UTF-8) is skipped with a note;
+    a file named directly must parse.
     """
     aspects: list[Aspect] = []
     notes: list[str] = []
@@ -128,9 +128,8 @@ def _load_aspects(path_args: list[str]) -> tuple[list[Aspect], list[str]]:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.glob("*.xml")):
-                text = _read_text(candidate)
                 try:
-                    node = _load_xml(text)
+                    node = _load_xml(_read_text(candidate))
                 except MalformedXml as exc:
                     notes.append(f"skipping {candidate}: {exc}")
                     continue

@@ -45,8 +45,6 @@ class Aspect:
     advice_type: str
     advice_body: Activity
     enabled: bool = True
-    partner_links: tuple[tuple[str, dict[str, str]], ...] = ()
-    variables: tuple[tuple[str, dict[str, str]], ...] = ()
 
 
 @dataclass
@@ -218,15 +216,13 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
     enabled = True
     if "enabled" in root.attributes:
         enabled = _parse_enabled(root.attributes["enabled"], root.line)
-    partner_links: list[tuple[str, dict[str, str]]] = []
-    variables: list[tuple[str, dict[str, str]]] = []
     pointcuts: list[Pointcut] = []
     advices: list[tuple[str, Activity]] = []
     for child in root.children:
-        if child.tag == "partnerLinks":
-            partner_links.extend(_parse_declarations(child, "partnerLink"))
-        elif child.tag == "variables":
-            variables.extend(_parse_declarations(child, "variable"))
+        if child.tag in ("partnerLinks", "variables"):
+            # checked like a process's declarations (each entry tag is the
+            # section tag without its "s"), but not kept
+            _parse_declarations(child, child.tag[:-1])
         elif child.tag == "pointcut":
             pointcut_name = child.attributes.get("name") or f"pointcut{len(pointcuts) + 1}"
             try:
@@ -260,8 +256,6 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
         advice_type=advice_type,
         advice_body=advice_body,
         enabled=enabled,
-        partner_links=tuple(partner_links),
-        variables=tuple(variables),
     )
 
 

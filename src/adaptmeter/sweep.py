@@ -5,8 +5,9 @@ process with j join points has 3j slots. A sweep case fills the slots
 in some order and records the process adaptability after each addition,
 producing a monotone series from the empty profile to saturation.
 `run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
-enumerates every subset of slots per count and reports the min/mean/max
-envelope, which is only tractable for small processes.
+reports the min/mean/max envelope over every subset of slots per count.
+It folds in one join point at a time instead of enumerating the subsets,
+and keeps a slot limit for small processes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import SweepLimitError
@@ -110,13 +110,12 @@ def run_sweep(
         raise ValueError("num_cases must be >= 1")
     slots = enumerate_slots(process, config)
     rng = random.Random(seed)
-    space = math.factorial(len(slots))
     seen: set[tuple[VariabilitySlot, ...]] = set()
     cases = []
     for case_id in range(num_cases):
         order = _permuted(slots, rng)
         attempts = 0
-        while tuple(order) in seen and len(seen) < space and attempts < 1000:
+        while tuple(order) in seen and attempts < 1000 and len(seen) < math.factorial(len(slots)):
             order = _permuted(slots, rng)
             attempts += 1
         seen.add(tuple(order))
@@ -125,33 +124,37 @@ def run_sweep(
 
 
 def exhaustive_sweep(
-    process: ProcessModel, config: AnalysisConfig, max_slots: int = EXHAUSTIVE_SLOT_LIMIT
+    process: ProcessModel, config: AnalysisConfig
 ) -> list[tuple[int, Fraction, Fraction, Fraction]]:
     """Envelope over every slot subset: (count, min, mean, max) per count.
 
-    PAM is evaluated through the join-point weights, which the linearity
-    of the aggregation guarantees to match the tree computation.
+    A subset's PAM is the sum over join points of weight * VD(c), where c
+    is how many of the join point's slots the subset holds. So the
+    envelope folds in one join point at a time: for each count it keeps
+    the min, max and sum of PAM over the subsets so far and their number.
+    A join point adds term c in comb(3, c) ways.
     """
-    slots = enumerate_slots(process, config)
-    if len(slots) > max_slots:
-        raise SweepLimitError(
-            f"process has {len(slots)} slots; exhaustive mode handles at most {max_slots}"
-        )
     weights = join_point_weights(process, config)
+    per_join_point = len(ADVICE_TYPES)
+    slot_count = per_join_point * len(weights)
+    if slot_count > EXHAUSTIVE_SLOT_LIMIT:
+        raise SweepLimitError(
+            f"process has {slot_count} slots; exhaustive mode handles at most {EXHAUSTIVE_SLOT_LIMIT}"
+        )
     reference = config.reference_value
     clamp = config.count_mode == "raw-clamped"
-    rows = []
-    for count in range(len(slots) + 1):
-        pams = []
-        for subset in combinations(slots, count):
-            per_path: dict[ActivityPath, int] = {}
-            for slot in subset:
-                per_path[slot.path] = per_path.get(slot.path, 0) + 1
-            pam = Fraction(0)
-            for path, vv in per_path.items():
-                if clamp:
-                    vv = min(vv, reference)
-                pam += weights[path] * variability_degree(vv, reference)
-            pams.append(pam)
-        rows.append((count, min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
-    return rows
+    envelope = [(Fraction(0), Fraction(0), Fraction(0), 1)]  # (min, max, sum, number) per count
+    for weight in weights.values():
+        merged: list[list[tuple[Fraction, Fraction, Fraction, int]]] = [
+            [] for _ in range(len(envelope) + per_join_point)
+        ]
+        for c in range(per_join_point + 1):
+            term = weight * variability_degree(min(c, reference) if clamp else c, reference)
+            ways = math.comb(per_join_point, c)
+            for count, (low, high, total, number) in enumerate(envelope):
+                merged[count + c].append((low + term, high + term, ways * (total + number * term), ways * number))
+        envelope = [
+            (min(lows), max(highs), sum(totals, Fraction(0)), sum(numbers))
+            for lows, highs, totals, numbers in (zip(*group) for group in merged)
+        ]
+    return [(count, low, total / number, high) for count, (low, high, total, number) in enumerate(envelope)]

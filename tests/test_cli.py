@@ -162,6 +162,27 @@ class TestAnalyze:
         # only the aspect file binds: one before advice at weight 1/4 of VD 1/3
         assert "PAM = 0.0833 (1/12)" in out
 
+    def test_aspect_directory_skips_unreadable_xml_with_a_warning(self, tmp_path, capsys):
+        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        broken = tmp_path / "broken.xml"
+        broken.write_text("<aspect name='x'>")
+        latin = tmp_path / "latin.xml"
+        latin.write_bytes('<aspect name="caf\u00e9"/>'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
+        assert code == 0
+        assert "PAM = 0.0833 (1/12)" in out
+        first, second = err.splitlines()
+        assert first.startswith(f"warning: skipping {broken}: ")
+        assert second.startswith(f"warning: skipping {latin}: not UTF-8 text: ")
+
+    def test_directly_named_non_utf8_aspect_file_is_an_error(self, tmp_path, capsys):
+        latin = tmp_path / "latin.xml"
+        latin.write_bytes('<aspect name="caf\u00e9"/>'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(latin))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {latin}: not UTF-8 text: ")
+
     def test_directly_named_non_aspect_file_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", TRAVEL, "--aspects", LINEAR)
         assert code == 1

@@ -186,6 +186,15 @@ class TestParseAspect:
         assert [child.kind for child in body.children] == ["assign", "invoke", "assign"]
         assert body.children[1].attributes["operation"] == "verify"
 
+    def test_bad_declaration_child_rejected_with_its_line(self):
+        for section, wrong in (("partnerLinks", "variable"), ("variables", "partnerLink")):
+            doc = _aspect_doc(f'<{section}>\n<{wrong} name="x"/></{section}><pointcut>//invoke</pointcut>'
+                              '<advice type="before"><invoke/></advice>')
+            with pytest.raises(UnsupportedElement) as excinfo:
+                parse_aspect(doc)
+            assert excinfo.value.line == 2
+            assert str(excinfo.value) == f"unsupported element <{wrong}> in <{section}>"
+
     def test_around_advice(self):
         doc = _aspect_doc(
             '<pointcut name="p1">//invoke[@operation="bookHotel"]</pointcut>'

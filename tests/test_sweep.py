@@ -12,6 +12,7 @@ from adaptmeter import (
     Activity,
     AnalysisConfig,
     ProcessModel,
+    ReferenceTooSmall,
     SweepLimitError,
     VariabilityProfile,
     enumerate_slots,
@@ -21,10 +22,32 @@ from adaptmeter import (
     run_sweep,
     sweep_case,
 )
+from randtrees import random_process
 
 NO_JOIN_POINTS = ProcessModel(name="inert", root=Activity("sequence", children=(Activity("assign"),)))
 
 SINGLE_JOIN_POINT = ProcessModel(name="single", root=Activity("sequence", children=(Activity("invoke"),)))
+
+
+def _subset_envelope(process, config):
+    """(count, min, mean, max) over every slot subset, each scored by process_adaptability."""
+    slots = enumerate_slots(process, config)
+    rows = []
+    for count in range(len(slots) + 1):
+        pams = []
+        for subset in combinations(slots, count):
+            profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in subset)
+            pams.append(process_adaptability(process, profile, config).pam)
+        rows.append((count, min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
+    return rows
+
+
+def _outcome(compute):
+    """The result, or the message of the ReferenceTooSmall raised instead."""
+    try:
+        return compute()
+    except ReferenceTooSmall as exc:
+        return str(exc)
 
 
 class TestEnumerateSlots:
@@ -144,21 +167,27 @@ class TestExhaustiveSweep:
         assert rows[0][1:] == (Fraction(0), Fraction(0), Fraction(0))
         assert rows[-1][1:] == (Fraction(1), Fraction(1), Fraction(1))
 
-    def test_envelope_matches_recursive_enumeration(self, mini_process, config):
-        # independent oracle: evaluate every subset through the full
-        # tree aggregation instead of the weight shortcut
-        slots = enumerate_slots(mini_process, config)
-        rows = exhaustive_sweep(mini_process, config)
-        for count, low, mean, high in rows:
-            pams = []
-            for subset in combinations(slots, count):
-                profile = VariabilityProfile.from_assignments(
-                    (slot.path, slot.advice_type) for slot in subset
-                )
-                pams.append(process_adaptability(mini_process, profile, config).pam)
-            assert low == min(pams)
-            assert high == max(pams)
-            assert mean == sum(pams, Fraction(0)) / len(pams)
+    def test_envelope_matches_recursive_enumeration(self, mini_process):
+        # independent oracle: evaluate every subset through the full tree
+        # aggregation instead of the weight fold, with R below, at and
+        # above 3, both count modes and custom join-point kinds
+        rng = random.Random(30303)
+        raised = 0
+        for reference_value in (1, 2, 3, 5):
+            for count_mode in ("set", "raw-clamped"):
+                for kinds in ({"invoke", "receive", "reply"}, {"invoke"}, {"assign", "reply"}):
+                    config = AnalysisConfig(reference_value=reference_value, join_point_kinds=frozenset(kinds),
+                                            count_mode=count_mode)
+                    subjects = [mini_process]
+                    while len(subjects) < 3:
+                        process = random_process(rng, max_depth=4, max_nodes=10)
+                        if len(enumerate_slots(process, config)) <= 12:
+                            subjects.append(process)
+                    for subject in subjects:
+                        expected = _outcome(lambda: _subset_envelope(subject, config))
+                        assert _outcome(lambda: exhaustive_sweep(subject, config)) == expected
+                        raised += isinstance(expected, str)
+        assert raised > 0
 
     def test_slot_limit_enforced(self, travel_process, config):
         with pytest.raises(SweepLimitError):
