@@ -11,26 +11,26 @@ nothing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel
+from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
 from .parsing import Aspect
 from .selectors import PointcutSelector, SelectorStep
 
 
-@dataclass(frozen=True)
-class JoinPointBinding:
+class JoinPointBinding(Record):
     """One advice attachment: which aspect/pointcut bound which advice type where."""
 
-    aspect_name: str
-    pointcut_name: str
-    path: ActivityPath
-    advice_type: str
+    __slots__ = ("aspect_name", "pointcut_name", "path", "advice_type")
+
+    def __init__(self, aspect_name: str, pointcut_name: str, path: ActivityPath, advice_type: str) -> None:
+        _set(self, "aspect_name", aspect_name)
+        _set(self, "pointcut_name", pointcut_name)
+        _set(self, "path", path)
+        _set(self, "advice_type", advice_type)
 
 
-@dataclass(frozen=True)
-class VariabilityProfile:
+class VariabilityProfile(Record):
     """Advice attachments per join point.
 
     ``entries`` maps each bound path to the set of advice types present
@@ -38,10 +38,19 @@ class VariabilityProfile:
     for the raw-clamped count mode; ``bindings`` is the provenance.
     """
 
-    entries: Mapping[ActivityPath, frozenset[str]]
-    bindings: tuple[JoinPointBinding, ...]
-    raw_counts: Mapping[ActivityPath, Mapping[str, int]]
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("entries", "bindings", "raw_counts", "warnings")
+
+    def __init__(
+        self,
+        entries: Mapping[ActivityPath, frozenset[str]],
+        bindings: tuple[JoinPointBinding, ...],
+        raw_counts: Mapping[ActivityPath, Mapping[str, int]],
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "entries", entries)
+        _set(self, "bindings", bindings)
+        _set(self, "raw_counts", raw_counts)
+        _set(self, "warnings", warnings)
 
     def advice_types(self, path: ActivityPath) -> frozenset[str]:
         return self.entries.get(path, frozenset())

@@ -27,28 +27,38 @@ that way, and sweeps use the weights to update PAM slot by slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
 from .matching import VariabilityProfile
 from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
+from .model import Record, _set
 
 
-@dataclass(frozen=True)
-class NodeVD:
+class NodeVD(Record):
     """Per-node metric result.
 
     ``vv`` is set on join points only; ``n_used`` is the divisor a
     structured node applied (branch count, or eligible-child count).
     """
 
-    path: ActivityPath
-    kind: str
-    vd: Fraction
-    vv: int | None = None
-    n_used: int | None = None
-    children: tuple["NodeVD", ...] = ()
+    __slots__ = ("path", "kind", "vd", "vv", "n_used", "children")
+
+    def __init__(
+        self,
+        path: ActivityPath,
+        kind: str,
+        vd: Fraction,
+        vv: int | None = None,
+        n_used: int | None = None,
+        children: tuple[NodeVD, ...] = (),
+    ) -> None:
+        _set(self, "path", path)
+        _set(self, "kind", kind)
+        _set(self, "vd", vd)
+        _set(self, "vv", vv)
+        _set(self, "n_used", n_used)
+        _set(self, "children", children)
 
     @property
     def join_point(self) -> bool:
@@ -63,13 +73,22 @@ class NodeVD:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
-class MetricsResult:
-    process_name: str
-    root: NodeVD
-    pam: Fraction
-    config_used: AnalysisConfig
-    warnings: tuple[str, ...] = ()
+class MetricsResult(Record):
+    __slots__ = ("process_name", "root", "pam", "config_used", "warnings")
+
+    def __init__(
+        self,
+        process_name: str,
+        root: NodeVD,
+        pam: Fraction,
+        config_used: AnalysisConfig,
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "process_name", process_name)
+        _set(self, "root", root)
+        _set(self, "pam", pam)
+        _set(self, "config_used", config_used)
+        _set(self, "warnings", warnings)
 
 
 def variability_value(profile: VariabilityProfile, path: ActivityPath, config: AnalysisConfig) -> int:

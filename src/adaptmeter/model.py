@@ -7,16 +7,16 @@ only nodes with children. Every node has a stable address of the form
 ``/process/sequence[0]/switch[2]/invoke[0]`` used as the key for advice
 bindings and per-node metric results.
 
-The model is immutable after construction and safe to share across
-threads. Each process builds one pre-order `ProcessIndex` on first use,
-and every layer reads its nodes from there instead of walking the tree.
+Every record of the package is an immutable slotted value object (see
+`Record`), so the model is safe to share across threads. Each process
+builds one pre-order `ProcessIndex` on first use, and every layer reads
+its nodes from there instead of walking the tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .errors import ConfigError, StructuralError
@@ -39,8 +39,51 @@ _SWITCH_BRANCH_ELEMENTS = frozenset({"case", "otherwise"})
 _PICK_BRANCH_ELEMENTS = frozenset({"onMessage", "onAlarm"})
 
 
-@dataclass(frozen=True)
-class BranchLabel:
+# Sets a record field from ``__init__``, past Record.__setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A record's fields are its ``__slots__`` in order, except private
+    (``_``-prefixed) slots, which may cache derived values. ``__init__``
+    sets each field once with `_set`; afterwards assigning or deleting an
+    attribute raises AttributeError. Equality (same class, equal field
+    values), the hash, the repr (``Name(field=value, ...)``) and pickling
+    and copying (which rebuild through ``__init__``) derive from the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # One C call reads every field: the tuple, or the value of a lone field.
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BranchLabel(Record):
     """Wrapper element of one switch/pick branch.
 
     ``element`` is case, otherwise, onMessage, or onAlarm; ``attributes``
@@ -48,12 +91,14 @@ class BranchLabel:
     descriptor) verbatim. They are never evaluated.
     """
 
-    element: str
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("element", "attributes")
+
+    def __init__(self, element: str, attributes: Mapping[str, str] | None = None) -> None:
+        _set(self, "element", element)
+        _set(self, "attributes", {} if attributes is None else attributes)
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(Record):
     """One node of the activity tree.
 
     ``attributes`` holds everything except ``name`` (e.g. ``operation``
@@ -61,36 +106,43 @@ class Activity:
     set only on switch/pick and has one entry per child.
     """
 
-    kind: str
-    name: str | None = None
-    attributes: Mapping[str, str] = field(default_factory=dict)
-    children: tuple[Activity, ...] = ()
-    branch_labels: tuple[BranchLabel, ...] | None = None
+    __slots__ = ("kind", "name", "attributes", "children", "branch_labels")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ACTIVITY_KINDS:
-            raise StructuralError(f"unknown activity kind <{self.kind}>")
-        if self.kind in BASIC_KINDS:
-            if self.children:
-                raise StructuralError(f"basic activity <{self.kind}> cannot have children")
-            if self.branch_labels is not None:
-                raise StructuralError(f"basic activity <{self.kind}> cannot have branch labels")
-            return
-        if self.kind in BRANCHING_KINDS:
-            if not self.children:
-                raise StructuralError(f"<{self.kind}> requires at least one branch")
-            labels = self.branch_labels or ()
-            if len(labels) != len(self.children):
-                raise StructuralError(f"<{self.kind}> requires one branch label per child")
-            allowed = _SWITCH_BRANCH_ELEMENTS if self.kind == "switch" else _PICK_BRANCH_ELEMENTS
+    def __init__(
+        self,
+        kind: str,
+        name: str | None = None,
+        attributes: Mapping[str, str] | None = None,
+        children: tuple[Activity, ...] = (),
+        branch_labels: tuple[BranchLabel, ...] | None = None,
+    ) -> None:
+        if kind not in ACTIVITY_KINDS:
+            raise StructuralError(f"unknown activity kind <{kind}>")
+        if kind in BASIC_KINDS:
+            if children:
+                raise StructuralError(f"basic activity <{kind}> cannot have children")
+            if branch_labels is not None:
+                raise StructuralError(f"basic activity <{kind}> cannot have branch labels")
+        elif kind in BRANCHING_KINDS:
+            if not children:
+                raise StructuralError(f"<{kind}> requires at least one branch")
+            labels = branch_labels or ()
+            if len(labels) != len(children):
+                raise StructuralError(f"<{kind}> requires one branch label per child")
+            allowed = _SWITCH_BRANCH_ELEMENTS if kind == "switch" else _PICK_BRANCH_ELEMENTS
             for label in labels:
                 if label.element not in allowed:
-                    raise StructuralError(f"<{label.element}> is not a valid <{self.kind}> branch")
-            if self.kind == "switch":
+                    raise StructuralError(f"<{label.element}> is not a valid <{kind}> branch")
+            if kind == "switch":
                 if sum(1 for label in labels if label.element == "otherwise") > 1:
                     raise StructuralError("<switch> allows at most one <otherwise> branch")
-        elif self.branch_labels is not None:
-            raise StructuralError(f"<{self.kind}> does not take branch labels")
+        elif branch_labels is not None:
+            raise StructuralError(f"<{kind}> does not take branch labels")
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "attributes", {} if attributes is None else attributes)
+        _set(self, "children", children)
+        _set(self, "branch_labels", branch_labels)
 
     @property
     def is_basic(self) -> bool:
@@ -104,15 +156,17 @@ class Activity:
 _PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
 
 
-@dataclass(frozen=True)
-class ActivityPath:
+class ActivityPath(Record):
     """Stable address of one activity: (kind, sibling index) steps from the root.
 
     Paths order by depth-first pre-order of the tree, which for sibling
     indices is plain lexicographic order.
     """
 
-    steps: tuple[tuple[str, int], ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[str, int], ...]) -> None:
+        _set(self, "steps", steps)
 
     @classmethod
     def root(cls, kind: str) -> ActivityPath:
@@ -156,8 +210,7 @@ class ActivityPath:
         return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in self.steps)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessIndex:
+class ProcessIndex(Record):
     """Pre-order ranks of one activity tree, shared by every layer.
 
     Rank 0 is the root. The node at rank r has address ``paths[r]``,
@@ -166,14 +219,26 @@ class ProcessIndex:
     ``by_kind`` lists each kind's ranks in ascending order. So u is a
     descendant-or-self of v iff v <= u < ends[v]: the pre/post-plane
     containment test of Grust, "Accelerating XPath Location Steps"
-    (SIGMOD 2002).
+    (SIGMOD 2002). Two indexes are equal only when they are the same object.
     """
 
-    paths: tuple[ActivityPath, ...]
-    activities: tuple[Activity, ...]
-    parents: tuple[int, ...]
-    ends: tuple[int, ...]
-    by_kind: Mapping[str, tuple[int, ...]]
+    __slots__ = ("paths", "activities", "parents", "ends", "by_kind")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        paths: tuple[ActivityPath, ...],
+        activities: tuple[Activity, ...],
+        parents: tuple[int, ...],
+        ends: tuple[int, ...],
+        by_kind: Mapping[str, tuple[int, ...]],
+    ) -> None:
+        _set(self, "paths", paths)
+        _set(self, "activities", activities)
+        _set(self, "parents", parents)
+        _set(self, "ends", ends)
+        _set(self, "by_kind", by_kind)
 
     @classmethod
     def build(cls, root: Activity) -> ProcessIndex:
@@ -206,34 +271,42 @@ class ProcessIndex:
             child = self.ends[child]
 
 
-@dataclass(frozen=True)
-class ProcessModel:
+class ProcessModel(Record):
     """A parsed process: declarations plus the rooted activity tree.
 
     ``attributes`` keeps the process element's own attributes other than
     ``name`` so selector predicates can match against them.
     """
 
-    name: str
-    root: Activity
-    partner_links: tuple[tuple[str, Mapping[str, str]], ...] = ()
-    variables: tuple[tuple[str, Mapping[str, str]], ...] = ()
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "root", "partner_links", "variables", "attributes", "_index")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        root: Activity,
+        partner_links: tuple[tuple[str, Mapping[str, str]], ...] = (),
+        variables: tuple[tuple[str, Mapping[str, str]], ...] = (),
+        attributes: Mapping[str, str] | None = None,
+    ) -> None:
+        if not name:
             raise StructuralError("process requires a non-empty name")
-        if not self.root.is_structured:
+        if not root.is_structured:
             raise StructuralError("process root activity must be structured")
+        _set(self, "name", name)
+        _set(self, "root", root)
+        _set(self, "partner_links", partner_links)
+        _set(self, "variables", variables)
+        _set(self, "attributes", {} if attributes is None else attributes)
 
-    @cached_property
+    @property
     def index(self) -> ProcessIndex:
         """The tree's pre-order index, built on first use."""
-        return ProcessIndex.build(self.root)
+        if not hasattr(self, "_index"):
+            _set(self, "_index", ProcessIndex.build(self.root))
+        return self._index
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """Knobs for join-point classification and metric evaluation.
 
     ``reference_value`` is the per-activity advice maximum R used to
@@ -242,23 +315,29 @@ class AnalysisConfig:
     collapses duplicates, ``raw-clamped`` counts them but clamps at R.
     """
 
-    reference_value: int = 3
-    join_point_kinds: frozenset[str] = DEFAULT_JOIN_POINT_KINDS
-    count_mode: str = "set"
-    include_disabled_aspects: bool = False
+    __slots__ = ("reference_value", "join_point_kinds", "count_mode", "include_disabled_aspects")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.reference_value, int) or self.reference_value < 1:
+    def __init__(
+        self,
+        reference_value: int = 3,
+        join_point_kinds: frozenset[str] = DEFAULT_JOIN_POINT_KINDS,
+        count_mode: str = "set",
+        include_disabled_aspects: bool = False,
+    ) -> None:
+        if not isinstance(reference_value, int) or reference_value < 1:
             raise ConfigError("reference value must be an integer >= 1")
-        kinds = frozenset(self.join_point_kinds)
+        kinds = frozenset(join_point_kinds)
         if not kinds:
             raise ConfigError("join-point kinds must not be empty")
         bad = kinds - BASIC_KINDS
         if bad:
             raise ConfigError(f"join-point kinds must be basic activity kinds, got: {', '.join(sorted(bad))}")
-        object.__setattr__(self, "join_point_kinds", kinds)
-        if self.count_mode not in ("set", "raw-clamped"):
-            raise ConfigError(f"count mode must be 'set' or 'raw-clamped', got {self.count_mode!r}")
+        if count_mode not in ("set", "raw-clamped"):
+            raise ConfigError(f"count mode must be 'set' or 'raw-clamped', got {count_mode!r}")
+        _set(self, "reference_value", reference_value)
+        _set(self, "join_point_kinds", kinds)
+        _set(self, "count_mode", count_mode)
+        _set(self, "include_disabled_aspects", include_disabled_aspects)
 
 
 def iter_activities(process: ProcessModel) -> Iterator[tuple[ActivityPath, Activity]]:

@@ -9,7 +9,6 @@ specs, payload literals) is treated as opaque and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import IO
 from xml.parsers import expat
 
@@ -18,42 +17,55 @@ from .model import (
     ACTIVITY_KINDS,
     ADVICE_TYPES,
     BASIC_KINDS,
+    BRANCHING_KINDS,
     STRUCTURED_KINDS,
     Activity,
     BranchLabel,
     ProcessModel,
+    Record,
+    _set,
 )
 from .selectors import PointcutSelector, parse_selector
 
 
-@dataclass(frozen=True)
-class Pointcut:
-    name: str
-    selector: PointcutSelector
+class Pointcut(Record):
+    __slots__ = ("name", "selector")
+
+    def __init__(self, name: str, selector: PointcutSelector) -> None:
+        _set(self, "name", name)
+        _set(self, "selector", selector)
 
 
-@dataclass(frozen=True)
-class Aspect:
+class Aspect(Record):
     """One adaptation unit: pointcut selectors plus a single typed advice.
 
     ``enabled`` mirrors the ability to switch aspects on and off without
     touching the process; disabled aspects are ignored by default.
     """
 
-    name: str
-    pointcuts: tuple[Pointcut, ...]
-    advice_type: str
-    advice_body: Activity
-    enabled: bool = True
+    __slots__ = ("name", "pointcuts", "advice_type", "advice_body", "enabled")
+
+    def __init__(
+        self, name: str, pointcuts: tuple[Pointcut, ...], advice_type: str, advice_body: Activity, enabled: bool = True
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "pointcuts", pointcuts)
+        _set(self, "advice_type", advice_type)
+        _set(self, "advice_body", advice_body)
+        _set(self, "enabled", enabled)
 
 
-@dataclass
 class _XmlNode:
-    tag: str
-    attributes: dict[str, str]
-    line: int
-    children: list["_XmlNode"] = field(default_factory=list)
-    text: str = ""
+    """One element while a document is read; its children and text grow as it is parsed."""
+
+    __slots__ = ("tag", "attributes", "line", "children", "text")
+
+    def __init__(self, tag: str, attributes: dict[str, str], line: int) -> None:
+        self.tag = tag
+        self.attributes = attributes
+        self.line = line
+        self.children: list[_XmlNode] = []
+        self.text = ""
 
 
 def _local(name: str) -> str:
@@ -86,6 +98,11 @@ def _load_xml(text: str) -> _XmlNode:
         if stack:
             stack[-1].text += data
 
+    def doctype(*_) -> None:
+        # The grammar needs no DTD; refusing one also refuses entity declarations.
+        raise MalformedXml("<!DOCTYPE> declarations are not allowed", line=parser.CurrentLineNumber)
+
+    parser.StartDoctypeDeclHandler = doctype
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
@@ -114,38 +131,51 @@ def _parse_declarations(container: _XmlNode, entry_tag: str) -> list[tuple[str, 
     return entries
 
 
-def _parse_activity(node: _XmlNode) -> Activity:
+def _frame(node: _XmlNode) -> tuple[_XmlNode, list[Activity], list[BranchLabel]]:
     if node.tag not in ACTIVITY_KINDS:
         raise UnsupportedElement(f"<{node.tag}> is not a supported activity", line=node.line)
-    attributes = dict(node.attributes)
-    name = attributes.pop("name", None)
-    if node.tag in BASIC_KINDS:
-        return Activity(node.tag, name, attributes)
-    if node.tag in ("sequence", "flow", "while"):
-        children = tuple(_parse_activity(child) for child in node.children)
-        return Activity(node.tag, name, attributes, children)
-    # switch / pick: children are branch wrappers, each holding one activity
-    allowed = ("case", "otherwise") if node.tag == "switch" else ("onMessage", "onAlarm")
-    children = []
-    labels = []
-    for branch in node.children:
-        if branch.tag not in allowed:
-            raise UnsupportedElement(
-                f"<{node.tag}> branches must be {' or '.join(f'<{a}>' for a in allowed)}, got <{branch.tag}>",
-                line=branch.line,
-            )
-        if len(branch.children) != 1:
-            raise StructuralError(
-                f"<{branch.tag}> must wrap exactly one activity, found {len(branch.children)}",
-                line=branch.line,
-            )
-        children.append(_parse_activity(branch.children[0]))
-        labels.append(BranchLabel(branch.tag, dict(branch.attributes)))
-    try:
-        return Activity(node.tag, name, attributes, tuple(children), tuple(labels))
-    except StructuralError as exc:
-        exc.line = node.line
-        raise
+    return node, [], []
+
+
+def _parse_activity(root: _XmlNode) -> Activity:
+    """Build the activity under ``root`` without recursion, so nesting depth is unbounded."""
+    # Elements are checked in document order and activities built bottom-up, as in a
+    # recursive descent, so a bad document fails at the same element. A frame holds an
+    # element and the activities and branch labels of its children built so far.
+    stack = [_frame(root)]
+    while True:
+        node, children, labels = stack[-1]
+        if node.tag not in BASIC_KINDS and len(children) < len(node.children):
+            child = node.children[len(children)]
+            if node.tag in BRANCHING_KINDS:
+                # switch / pick: children are branch wrappers, each holding one activity
+                allowed = ("case", "otherwise") if node.tag == "switch" else ("onMessage", "onAlarm")
+                if child.tag not in allowed:
+                    raise UnsupportedElement(
+                        f"<{node.tag}> branches must be {' or '.join(f'<{a}>' for a in allowed)}, got <{child.tag}>",
+                        line=child.line,
+                    )
+                if len(child.children) != 1:
+                    raise StructuralError(
+                        f"<{child.tag}> must wrap exactly one activity, found {len(child.children)}",
+                        line=child.line,
+                    )
+                labels.append(BranchLabel(child.tag, dict(child.attributes)))
+                child = child.children[0]
+            stack.append(_frame(child))
+            continue
+        stack.pop()
+        attributes = dict(node.attributes)
+        name = attributes.pop("name", None)
+        branch_labels = tuple(labels) if node.tag in BRANCHING_KINDS else None
+        try:
+            activity = Activity(node.tag, name, attributes, tuple(children), branch_labels)
+        except StructuralError as exc:
+            exc.line = node.line
+            raise
+        if not stack:
+            return activity
+        stack[-1][1].append(activity)
 
 
 def parse_process(source: str | IO[str]) -> ProcessModel:
@@ -259,12 +289,14 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
     )
 
 
+# Whitespace other than a space is escaped too: a parser turns a literal
+# newline, carriage return or tab in an attribute value into a space.
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                                "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
 def _attr_text(attributes: dict[str, str]) -> str:
-    parts = []
-    for key in sorted(attributes):
-        value = attributes[key].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-        parts.append(f' {key}="{value}"')
-    return "".join(parts)
+    return "".join(f' {key}="{attributes[key].translate(_ATTR_ESCAPES)}"' for key in sorted(attributes))
 
 
 def _named_attrs(name: str | None, attributes) -> dict[str, str]:

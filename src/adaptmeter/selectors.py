@@ -16,23 +16,26 @@ positional tests) raises SelectorSyntax rather than being ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import SelectorSyntax
-from .model import ACTIVITY_KINDS
+from .model import ACTIVITY_KINDS, Record, _set
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 
-@dataclass(frozen=True)
-class SelectorStep:
-    element: str
-    predicates: tuple[tuple[str, str], ...] = ()
+class SelectorStep(Record):
+    __slots__ = ("element", "predicates")
+
+    def __init__(self, element: str, predicates: tuple[tuple[str, str], ...] = ()) -> None:
+        _set(self, "element", element)
+        _set(self, "predicates", predicates)
 
 
-@dataclass(frozen=True)
-class PointcutSelector:
-    steps: tuple[SelectorStep, ...]
+class PointcutSelector(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[SelectorStep, ...]) -> None:
+        _set(self, "steps", steps)
 
     def __str__(self) -> str:
         return render_selector(self)

@@ -14,38 +14,45 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SweepLimitError
 from .metrics import join_point_weights, variability_degree
-from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, find_join_points
+from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, find_join_points
 
 EXHAUSTIVE_SLOT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class VariabilitySlot:
-    path: ActivityPath
-    advice_type: str
+class VariabilitySlot(Record):
+    __slots__ = ("path", "advice_type")
+
+    def __init__(self, path: ActivityPath, advice_type: str) -> None:
+        _set(self, "path", path)
+        _set(self, "advice_type", advice_type)
 
 
-@dataclass(frozen=True)
-class SweepCase:
+class SweepCase(Record):
     """One placement order and its PAM-per-count series (counts 0..slots)."""
 
-    case_id: int
-    order: tuple[VariabilitySlot, ...]
-    series: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("case_id", "order", "series")
+
+    def __init__(
+        self, case_id: int, order: tuple[VariabilitySlot, ...], series: tuple[tuple[int, Fraction], ...]
+    ) -> None:
+        _set(self, "case_id", case_id)
+        _set(self, "order", order)
+        _set(self, "series", series)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    process_name: str
-    slot_count: int
-    cases: tuple[SweepCase, ...]
-    seed: int
+class SweepResult(Record):
+    __slots__ = ("process_name", "slot_count", "cases", "seed")
+
+    def __init__(self, process_name: str, slot_count: int, cases: tuple[SweepCase, ...], seed: int) -> None:
+        _set(self, "process_name", process_name)
+        _set(self, "slot_count", slot_count)
+        _set(self, "cases", cases)
+        _set(self, "seed", seed)
 
 
 def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[VariabilitySlot]:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
 from adaptmeter.cli import _use_color, main
 from adaptmeter.report import render_text
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, SRC_DIR
 
 TRAVEL = str(FIXTURES_DIR / "travel_booking.bpel")
 LINEAR = str(FIXTURES_DIR / "travel_booking_linear.bpel")
@@ -189,6 +191,42 @@ class TestAnalyze:
         assert out == ""
         assert "expected <aspect>" in err
 
+    def test_doctype_process_file_exits_1_with_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "entity.bpel"
+        bad.write_text(
+            '<?xml version="1.0"?>\n<!DOCTYPE process [<!ENTITY x "hello">]>\n'
+            '<process name="&x;"><sequence><invoke/></sequence></process>\n'
+        )
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}:2: <!DOCTYPE> declarations are not allowed\n"
+
+    def test_directly_named_doctype_aspect_file_exits_1(self, tmp_path, capsys):
+        aspect = tmp_path / "dtd.xml"
+        aspect.write_text("<!DOCTYPE aspect>\n" + (FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(aspect))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {aspect}:1: <!DOCTYPE> declarations are not allowed\n"
+
+    def test_aspect_directory_skips_doctype_file_with_a_warning(self, tmp_path, capsys):
+        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        dtd = tmp_path / "dtd.xml"
+        dtd.write_text("<!DOCTYPE aspect>\n" + (FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
+        assert code == 0
+        assert "PAM = 0.0833 (1/12)" in out
+        assert err == f"warning: skipping {dtd}: <!DOCTYPE> declarations are not allowed\n"
+
+    def test_deep_nesting_analyzes(self, tmp_path, capsys):
+        deep = tmp_path / "deep.bpel"
+        depth = 1200
+        deep.write_text(f'<process name="deep">{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}</process>')
+        code, out, err = run_cli(capsys, "analyze", str(deep))
+        assert code == 0, err
+        assert "PAM = 0.0000" in out
+
     def test_include_disabled_flag(self, tmp_path, capsys):
         aspect = tmp_path / "off.xml"
         aspect.write_text(
@@ -352,6 +390,20 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestStartup:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Compare module sets before and after, since site may preload modules.
+        code = (
+            "import sys; before = set(sys.modules); import adaptmeter.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        loaded = set(proc.stdout.split())
+        assert "adaptmeter.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 class TestColor:

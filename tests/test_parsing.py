@@ -301,19 +301,22 @@ class TestSerializeProcess:
     def test_canonical_form_escapes_attribute_values(self):
         doc = (
             '<process name="a&amp;b"><sequence>'
-            '<invoke operation="x &lt; y &gt; z" note="say &quot;hi&quot; &amp; go"/>'
+            '<invoke operation="x &lt; y &gt; z" note="say &quot;hi&quot; &amp; go"'
+            ' text="line1&#10;line2&#13;&#9;tab"/>'
             "</sequence></process>"
         )
         expected = (
             '<?xml version="1.0" encoding="utf-8"?>\n'
             '<process name="a&amp;b">\n'
             "  <sequence>\n"
-            '    <invoke note="say &quot;hi&quot; &amp; go" operation="x &lt; y &gt; z"/>\n'
+            '    <invoke note="say &quot;hi&quot; &amp; go" operation="x &lt; y &gt; z"'
+            ' text="line1&#10;line2&#13;&#9;tab"/>\n'
             "  </sequence>\n"
             "</process>\n"
         )
         process = parse_process(doc)
         assert process.root.children[0].attributes["note"] == 'say "hi" & go'
+        assert process.root.children[0].attributes["text"] == "line1\nline2\r\ttab"
         assert serialize_process(process) == expected
         assert parse_process(expected) == process
 
