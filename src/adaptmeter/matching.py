@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
 from .parsing import Aspect
-from .selectors import PointcutSelector, SelectorStep
+from .selectors import PointcutSelector
 
 
 class JoinPointBinding(Record):
@@ -89,15 +89,15 @@ class VariabilityProfile(Record):
         return cls(entries, tuple(ordered), raw_counts, warnings)
 
 
-def _predicates_hold(step: SelectorStep, target: Activity | ProcessModel) -> bool:
-    for attribute, value in step.predicates:
+def _predicates_hold(predicates: Sequence[tuple[str, str]], target: Activity | ProcessModel) -> bool:
+    for attribute, value in predicates:
         actual = target.name if attribute == "name" else target.attributes.get(attribute)
         if actual != value:
             return False
     return True
 
 
-def _within(ranks: list[int], contexts: list[int], ends: Sequence[int]) -> list[int]:
+def _within(ranks: Sequence[int], contexts: Sequence[int], ends: Sequence[int]) -> list[int]:
     """The ranks that lie in some context's subtree; both lists ascending."""
     # Subtrees nest or are disjoint, so the outermost contexts cover the
     # rest: their rank ranges are disjoint and sorted.
@@ -117,15 +117,24 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
     matches; the first step searches from the document root, which a
     ``process`` step may match itself. A final match on the document
     root has no activity path and is dropped from the result.
+
+    A step's first predicate picks its candidates from the index's
+    postings (`ProcessIndex.ranks_with`) and only the rest are tested on
+    them; a step without predicates takes every rank of its kind.
     """
     index = process.index
     # The document root (the <process> element) contains every activity.
     at_root = True
-    ranks: list[int] = []
+    ranks: Sequence[int] = ()
     for step in selector.steps:
-        found = [rank for rank in index.by_kind.get(step.element, ()) if _predicates_hold(step, index.activities[rank])]
+        found = index.by_kind.get(step.element, ())
+        if step.predicates:
+            (attribute, value), *rest = step.predicates
+            found = index.ranks_with(step.element, attribute, value)
+            if rest:
+                found = [rank for rank in found if _predicates_hold(rest, index.activities[rank])]
         ranks = found if at_root else _within(found, ranks, index.ends)
-        at_root = at_root and step.element == "process" and _predicates_hold(step, process)
+        at_root = at_root and step.element == "process" and _predicates_hold(step.predicates, process)
         if not ranks and not at_root:
             break
     return [index.paths[rank] for rank in ranks]

@@ -219,10 +219,12 @@ class ProcessIndex(Record):
     ``by_kind`` lists each kind's ranks in ascending order. So u is a
     descendant-or-self of v iff v <= u < ends[v]: the pre/post-plane
     containment test of Grust, "Accelerating XPath Location Steps"
-    (SIGMOD 2002). Two indexes are equal only when they are the same object.
+    (SIGMOD 2002). `ranks_with` adds its value index: one posting table
+    per (kind, attribute), built on the first lookup. Two indexes are
+    equal only when they are the same object.
     """
 
-    __slots__ = ("paths", "activities", "parents", "ends", "by_kind")
+    __slots__ = ("paths", "activities", "parents", "ends", "by_kind", "_postings")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -239,6 +241,7 @@ class ProcessIndex(Record):
         _set(self, "parents", parents)
         _set(self, "ends", ends)
         _set(self, "by_kind", by_kind)
+        _set(self, "_postings", {})
 
     @classmethod
     def build(cls, root: Activity) -> ProcessIndex:
@@ -262,6 +265,22 @@ class ProcessIndex(Record):
             ends[parents[rank]] = max(ends[parents[rank]], ends[rank])
         kinds = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
         return cls(tuple(paths), tuple(activities), tuple(parents), tuple(ends), kinds)
+
+    def ranks_with(self, kind: str, attribute: str, value: str) -> tuple[int, ...]:
+        """Ascending ranks of ``kind`` whose ``attribute`` (``name``: the
+        activity's name) equals ``value``. Each (kind, attribute) table is
+        built whole on first use, then published: a race only rebuilds it.
+        """
+        table = self._postings.get((kind, attribute))
+        if table is None:
+            table = {}
+            for rank in self.by_kind.get(kind, ()):
+                activity = self.activities[rank]
+                actual = activity.name if attribute == "name" else activity.attributes.get(attribute)
+                if actual is not None:
+                    table.setdefault(actual, []).append(rank)
+            table = self._postings[kind, attribute] = {key: tuple(ranks) for key, ranks in table.items()}
+        return table.get(value, ())
 
     def children(self, rank: int) -> Iterator[int]:
         """Ranks of the node's children, in order."""

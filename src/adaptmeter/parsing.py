@@ -306,23 +306,30 @@ def _named_attrs(name: str | None, attributes) -> dict[str, str]:
     return merged
 
 
-def _emit_activity(activity: Activity, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    attrs = _attr_text(_named_attrs(activity.name, activity.attributes))
-    if not activity.children:
-        lines.append(f"{pad}<{activity.kind}{attrs}/>")
-        return
-    lines.append(f"{pad}<{activity.kind}{attrs}>")
-    if activity.branch_labels is not None:
-        for label, child in zip(activity.branch_labels, activity.children):
-            wrapper_attrs = _attr_text(dict(label.attributes))
-            lines.append(f"{pad}  <{label.element}{wrapper_attrs}>")
-            _emit_activity(child, indent + 2, lines)
-            lines.append(f"{pad}  </{label.element}>")
-    else:
-        for child in activity.children:
-            _emit_activity(child, indent + 1, lines)
-    lines.append(f"{pad}</{activity.kind}>")
+def _emit_activity(root: Activity, indent: int, lines: list[str]) -> None:
+    # An explicit stack, so nesting depth is not bounded by the recursion
+    # limit. Its entries are (activity, indent) pairs still to emit and
+    # ready lines (closing and branch-wrapper tags), popped in document order.
+    stack: list[tuple[Activity, int] | str] = [(root, indent)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        activity, indent = entry
+        pad = "  " * indent
+        attrs = _attr_text(_named_attrs(activity.name, activity.attributes))
+        if not activity.children:
+            lines.append(f"{pad}<{activity.kind}{attrs}/>")
+            continue
+        lines.append(f"{pad}<{activity.kind}{attrs}>")
+        stack.append(f"{pad}</{activity.kind}>")
+        if activity.branch_labels is not None:
+            for label, child in reversed(tuple(zip(activity.branch_labels, activity.children))):
+                wrapper_attrs = _attr_text(dict(label.attributes))
+                stack += (f"{pad}  </{label.element}>", (child, indent + 2), f"{pad}  <{label.element}{wrapper_attrs}>")
+        else:
+            stack += ((child, indent + 1) for child in reversed(activity.children))
 
 
 def serialize_process(process: ProcessModel) -> str:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 from adaptmeter import (
+    Activity,
     ActivityPath,
     AnalysisConfig,
+    ProcessModel,
     VariabilityProfile,
     bind_aspects,
     match_selector,
@@ -82,6 +86,40 @@ class TestMatchSelector:
             "/process/sequence[0]/switch[2]/invoke[1]",
             "/process/sequence[0]/invoke[3]",
         ]
+
+    def test_threads_sharing_one_process_agree_with_a_private_copy(self):
+        # Big enough that a thread switch lands inside a postings table build.
+        invokes = tuple(Activity("invoke", f"a{i % 7}", {"operation": f"op{i % 50}"}) for i in range(3000))
+        root = Activity("sequence", children=(Activity("flow", children=invokes), Activity("invoke")))
+        selectors = [parse_selector(f'//invoke[@operation="op{i}"]') for i in range(50)]
+        selectors += [parse_selector(f'//flow//invoke[@name="a{i}"][@operation="op{i}"]') for i in range(7)]
+        expected = [match_selector(selector, ProcessModel("p", root)) for selector in selectors]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = ProcessModel("p", root)
+                shared.index
+                results: dict[int, list] = {}
+                start = threading.Barrier(8)
+
+                def run(worker: int) -> None:
+                    start.wait(timeout=30)
+                    order = list(range(len(selectors)))
+                    random.Random(worker).shuffle(order)
+                    found = {i: match_selector(selectors[i], shared) for i in order}
+                    results[worker] = [found[i] for i in range(len(selectors))]
+
+                threads = [threading.Thread(target=run, args=(worker,)) for worker in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(results) == 8
+                assert all(result == expected for result in results.values())
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 class TestBindAspects:

@@ -113,6 +113,20 @@ class TestProcessIndex:
                 children = list(index.children(rank))
                 assert [index.activities[child] for child in children] == list(index.activities[rank].children)
 
+    def test_ranks_with_lists_the_kind_by_attribute_value(self, travel_process):
+        rng = random.Random(20213)
+        for process in [travel_process] + [random_process(rng, max_nodes=20) for _ in range(30)]:
+            index = process.index
+            for attribute in ("name", "operation", "partnerLink"):
+                read = {rank: activity.name if attribute == "name" else activity.attributes.get(attribute)
+                        for rank, activity in enumerate(index.activities)}
+                for kind, ranks in index.by_kind.items():
+                    for value in set(read.values()) - {None}:
+                        expected = tuple(rank for rank in ranks if read[rank] == value)
+                        assert index.ranks_with(kind, attribute, value) == expected
+                        assert index.ranks_with(kind, attribute, value) is index.ranks_with(kind, attribute, value)
+            assert index.ranks_with("case", "name", "x") == ()
+
 
 class TestJoinPointClassification:
     def test_messaging_trio_by_default(self, config):

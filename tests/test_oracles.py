@@ -8,9 +8,11 @@ import pytest
 
 from adaptmeter import (
     ADVICE_TYPES,
+    Activity,
     AdaptMeterError,
     AnalysisConfig,
     PointcutSelector,
+    ProcessModel,
     SelectorStep,
     VariabilityProfile,
     VariabilitySlot,
@@ -98,6 +100,77 @@ def test_match_selector_agrees_with_naive_matcher():
             assert match_selector(selector, process) == expected, str(selector)
             hits += bool(expected)
     assert hits > 1500
+
+
+# Small value pools, so attribute values repeat across nodes and kinds
+# (``operation`` on invoke, receive and reply alike).
+ATTRIBUTE_VALUES = {"name": ("n0", "n1", "n2"), "operation": ("op0", "op1", "op2"), "partnerLink": ("pl0", "pl1")}
+
+
+def _decorated(rng: random.Random, activity: Activity) -> Activity:
+    """The tree with names and attributes redrawn from ATTRIBUTE_VALUES.
+
+    Each attribute is present on about half the nodes, so every kind has
+    nodes that lack it. Uses its own rng: randtrees' draws stay as they are.
+    """
+    drawn = {attribute: values[rng.randrange(len(values))]
+             for attribute, values in ATTRIBUTE_VALUES.items() if rng.random() < 0.5}
+    name = drawn.pop("name", None)
+    children = tuple(_decorated(rng, child) for child in activity.children)
+    return Activity(activity.kind, name, drawn, children, activity.branch_labels)
+
+
+def _conjunctive_step(rng: random.Random, process, element: str) -> SelectorStep:
+    """Zero to three predicates, mostly read off one node of the kind.
+
+    An attribute may repeat with another value, and ``condition`` is on
+    no activity at all.
+    """
+    nodes = [process] if element == "process" else [a for _, a in iter_activities(process) if a.kind == element]
+    source = nodes[rng.randrange(len(nodes))] if nodes and rng.random() < 0.8 else None
+    predicates = []
+    for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+        if predicates and rng.random() < 0.2:
+            attribute = predicates[-1][0]  # same attribute again, value drawn anew
+            source = None
+        else:
+            attribute = rng.choice(("name", "operation", "operation", "partnerLink", "condition"))
+        actual = source and (source.name if attribute == "name" else source.attributes.get(attribute))
+        values = ATTRIBUTE_VALUES.get(attribute, ("c0",))
+        predicates.append((attribute, actual or values[rng.randrange(len(values))]))
+    return SelectorStep(element, tuple(predicates))
+
+
+def test_match_selector_with_conjunctive_predicates_agrees_with_naive_matcher():
+    rng = random.Random(60605)
+    tallies = dict.fromkeys(("hits", "multi_hits", "conflicts", "shared", "reused"), 0)
+    for _ in range(500):
+        source = random_process(rng, max_depth=5, max_nodes=25)
+        process = ProcessModel(source.name, _decorated(rng, source.root), attributes={"operation": "op0"})
+        paths = [path for path, _ in iter_activities(process)]
+        looked_up: dict[tuple[str, str], set[str]] = {}
+        for _ in range(24):
+            chain = ["process"] + [kind for kind, _ in paths[rng.randrange(len(paths))].steps]
+            size = min(rng.randint(1, 3), len(chain))
+            if rng.random() < 0.7:
+                elements = [chain[i] for i in sorted(rng.sample(range(len(chain)), size))]
+            else:
+                elements = [SELECTOR_ELEMENTS[rng.randrange(len(SELECTOR_ELEMENTS))] for _ in range(size)]
+            selector = PointcutSelector(tuple(_conjunctive_step(rng, process, element) for element in elements))
+            expected = oracles.match_selector(selector, process)
+            assert match_selector(selector, process) == expected, str(selector)
+            tallies["hits"] += bool(expected)
+            tallies["multi_hits"] += bool(expected) and any(len(step.predicates) > 1 for step in selector.steps)
+            for step in selector.steps:
+                attributes = [attribute for attribute, _ in step.predicates]
+                tallies["conflicts"] += len(set(step.predicates)) > len(set(attributes))
+                if step.predicates:
+                    looked_up.setdefault((step.element, attributes[0]), set()).add(step.predicates[0][1])
+        kinds_by_operation = {kind for kind, attribute in looked_up if attribute == "operation"}
+        tallies["shared"] += len(kinds_by_operation & {"invoke", "receive", "reply"}) > 1
+        tallies["reused"] += any(len(values) > 1 for values in looked_up.values())
+    assert tallies["hits"] > 1000 and tallies["multi_hits"] > 300, tallies
+    assert tallies["conflicts"] > 1000 and tallies["shared"] > 150 and tallies["reused"] > 450, tallies
 
 
 def test_process_adaptability_agrees_with_recursive_aggregate():

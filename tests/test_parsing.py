@@ -322,3 +322,15 @@ class TestSerializeProcess:
 
     def test_serialization_is_stable(self, travel_process):
         assert serialize_process(travel_process) == serialize_process(travel_process)
+
+    def test_deep_nesting_serializes(self):
+        depth = 1200
+        doc = f'<process name="deep">{"<sequence>" * depth}<invoke name="x"/>{"</sequence>" * depth}</process>'
+        text = serialize_process(parse_process(doc))
+        lines = text.splitlines()
+        assert len(lines) == 2 * depth + 4
+        assert lines[depth + 1] == "  " * depth + "<sequence>"
+        assert lines[depth + 2] == "  " * (depth + 1) + '<invoke name="x"/>'
+        assert lines[-2] == "  </sequence>"
+        # Record equality recurses too, so compare the canonical text.
+        assert serialize_process(parse_process(text)) == text

@@ -107,6 +107,34 @@ def test_index_equality_is_identity(travel_process):
     assert len({index, ProcessIndex.build(travel_process.root)}) == 2
 
 
+def _outcome(compute, record):
+    try:
+        return compute(record)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+def test_filled_postings_leave_the_process_value_unchanged(travel_aspects):
+    text = (FIXTURES_DIR / "travel_booking.bpel").read_text()
+    bound, fresh = parse_process(text), parse_process(text)
+    index = bound.index
+    index_hash = hash(index)
+    assert bind_aspects(bound, travel_aspects, AnalysisConfig()).bindings
+    assert index._postings, "binding fills the postings cache"
+    assert bound == fresh and fresh == bound
+    assert _outcome(hash, bound) == _outcome(hash, fresh)
+    assert repr(bound) == repr(fresh)
+    assert pickle.dumps(bound) == pickle.dumps(fresh)
+    assert bound.index is index and hash(index) == index_hash
+    assert index == index and index != ProcessIndex.build(bound.root)
+    for clone in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        twin = clone(bound)
+        assert twin == fresh and repr(twin) == repr(fresh)
+        assert not hasattr(twin, "_index"), "a clone rebuilds its index on first use"
+        assert twin.index is not index and twin.index._postings == {}
+        assert clone(index)._postings == {}
+
+
 def test_omitted_attributes_are_a_fresh_empty_dict():
     first, second = Activity("invoke"), Activity("invoke")
     assert first.attributes == {} and first.attributes is not second.attributes
