@@ -8,17 +8,17 @@ ADAPT_METER_NO_COLOR environment variable disables ANSI styling.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
 
 from .errors import AdaptMeterError, ConfigError, MalformedXml
-from .matching import bind_aspects
-from .metrics import process_adaptability
 from .model import AnalysisConfig
 from .parsing import Aspect, _aspect_from_node, _load_xml, parse_aspect, parse_process
-from .report import exhaustive_csv, render_compare_json, render_compare_text, render_json, render_text, sweep_csv
-from .sweep import exhaustive_sweep, run_sweep
+
+# Each subcommand imports the layers it runs inside its own function, so
+# a process loads only the modules its subcommand needs.
 
 
 class _ArgumentError(Exception):
@@ -128,6 +128,8 @@ def _load_aspects(path_args: list[str]) -> tuple[list[Aspect], list[str]]:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.glob("*.xml")):
+                if not candidate.is_file():
+                    continue
                 try:
                     node = _load_xml(_read_text(candidate))
                 except MalformedXml as exc:
@@ -156,6 +158,10 @@ def _emit_warnings(messages, prefix: str = "") -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .matching import bind_aspects
+    from .metrics import process_adaptability
+    from .report import render_json, render_text
+
     config = _build_config(args)
     process = _load_process(args.process)
     aspects, notes = _load_aspects(args.aspects)
@@ -173,6 +179,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.cases < 1:
         raise ConfigError("--cases must be >= 1")
+    from .report import exhaustive_csv, sweep_csv
+    from .sweep import exhaustive_sweep, run_sweep
+
     config = _build_config(args)
     process = _load_process(args.process)
     if args.exhaustive:
@@ -187,6 +196,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .matching import bind_aspects
+    from .metrics import process_adaptability
+    from .report import render_compare_json, render_compare_text
+
     config = _build_config(args)
     left_process = _load_process(args.process_a)
     right_process = _load_process(args.process_b)
@@ -216,6 +229,7 @@ def _format_error(error: AdaptMeterError) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); return its exit code."""
     try:
         args = build_parser().parse_args(argv)
     except _ArgumentError as exc:
@@ -231,5 +245,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """Process entry point: ``main()``, then freeze the heap before the interpreter exits.
+
+    Freezing moves every live object to the permanent generation, so the
+    collections run at interpreter exit have nothing to traverse; atexit
+    handlers and the flushing of standard output and error still run.
+    In-process callers use ``main()``, which leaves the collector alone.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

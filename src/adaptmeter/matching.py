@@ -11,11 +11,13 @@ nothing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
-from .parsing import Aspect
-from .selectors import PointcutSelector
+
+if TYPE_CHECKING:
+    from .parsing import Aspect
+    from .selectors import PointcutSelector
 
 
 class JoinPointBinding(Record):

@@ -28,11 +28,14 @@ that way, and sweeps use the weights to update PAM slot by slot.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
-from .matching import VariabilityProfile
 from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
 from .model import Record, _set
+
+if TYPE_CHECKING:
+    from .matching import VariabilityProfile
 
 
 class NodeVD(Record):

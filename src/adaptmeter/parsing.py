@@ -9,7 +9,7 @@ specs, payload literals) is treated as opaque and ignored.
 
 from __future__ import annotations
 
-from typing import IO
+from typing import IO, TYPE_CHECKING
 from xml.parsers import expat
 
 from .errors import BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError, UnsupportedElement
@@ -25,7 +25,9 @@ from .model import (
     Record,
     _set,
 )
-from .selectors import PointcutSelector, parse_selector
+
+if TYPE_CHECKING:
+    from .selectors import PointcutSelector
 
 
 class Pointcut(Record):
@@ -56,7 +58,11 @@ class Aspect(Record):
 
 
 class _XmlNode:
-    """One element while a document is read; its children and text grow as it is parsed."""
+    """One element while a document is read; its children and text grow as it is parsed.
+
+    ``text`` holds the element's own character data in the chunks the
+    parser delivered; join them to read it.
+    """
 
     __slots__ = ("tag", "attributes", "line", "children", "text")
 
@@ -65,7 +71,7 @@ class _XmlNode:
         self.attributes = attributes
         self.line = line
         self.children: list[_XmlNode] = []
-        self.text = ""
+        self.text: list[str] = []
 
 
 def _local(name: str) -> str:
@@ -96,12 +102,13 @@ def _load_xml(text: str) -> _XmlNode:
 
     def chars(data: str) -> None:
         if stack:
-            stack[-1].text += data
+            stack[-1].text.append(data)
 
     def doctype(*_) -> None:
         # The grammar needs no DTD; refusing one also refuses entity declarations.
         raise MalformedXml("<!DOCTYPE> declarations are not allowed", line=parser.CurrentLineNumber)
 
+    parser.buffer_text = True
     parser.StartDoctypeDeclHandler = doctype
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -110,6 +117,11 @@ def _load_xml(text: str) -> _XmlNode:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise MalformedXml(str(exc), line=exc.lineno) from exc
+    finally:
+        # The handlers refer to the parser, a cycle that would keep the
+        # whole node tree alive until the cyclic collector runs.
+        parser.StartDoctypeDeclHandler = parser.StartElementHandler = None
+        parser.EndElementHandler = parser.CharacterDataHandler = None
     if not root:
         raise MalformedXml("document has no root element")
     return root[0]
@@ -240,6 +252,8 @@ def parse_aspect(source: str | IO[str]) -> Aspect:
 
 
 def _aspect_from_node(root: _XmlNode) -> Aspect:
+    from .selectors import parse_selector
+
     name = root.attributes.get("name", "")
     if not name:
         raise StructuralError("<aspect> requires a non-empty name attribute", line=root.line)
@@ -256,7 +270,7 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
         elif child.tag == "pointcut":
             pointcut_name = child.attributes.get("name") or f"pointcut{len(pointcuts) + 1}"
             try:
-                selector = parse_selector(child.text)
+                selector = parse_selector("".join(child.text))
             except SelectorSyntax as exc:
                 raise SelectorSyntax(f"pointcut '{pointcut_name}': {exc}", line=child.line) from exc
             pointcuts.append(Pointcut(pointcut_name, selector))

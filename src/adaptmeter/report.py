@@ -8,13 +8,15 @@ from the same MetricsResult and cannot disagree.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .metrics import MetricsResult, NodeVD
-from .model import ProcessModel
-from .sweep import SweepResult
+
+if TYPE_CHECKING:
+    from .metrics import MetricsResult, NodeVD
+    from .model import ProcessModel
+    from .sweep import SweepResult
 
 SCHEMA_VERSION = "1"
 
@@ -85,6 +87,8 @@ def _node_entry(node: NodeVD) -> dict:
 
 
 def render_json(result: MetricsResult) -> str:
+    import json
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -147,6 +151,8 @@ def render_compare_text(
 def render_compare_json(
     left: MetricsResult, right: MetricsResult, left_source: str, right_source: str
 ) -> str:
+    import json
+
     def side(result: MetricsResult, source: str) -> dict:
         return {
             "process": result.process_name,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -159,8 +160,10 @@ class TestAnalyze:
         (tmp_path / "a_process.xml").write_text('<process name="x"><sequence/></process>')
         (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
         (tmp_path / "notes.txt").write_text("not xml")
-        code, out, _ = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
+        (tmp_path / "old.xml").mkdir()
+        code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
         assert code == 0
+        assert err == ""
         # only the aspect file binds: one before advice at weight 1/4 of VD 1/3
         assert "PAM = 0.0833 (1/12)" in out
 
@@ -392,18 +395,81 @@ class TestDeterminism:
         assert first == second
 
 
+def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports adaptmeter from the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=check)
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """Modules a fresh interpreter loads running ``code``, on top of what site preloads."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nsys.stderr.write(' '.join(set(sys.modules) - before))"
+    return set(_python("-c", script).stderr.split())
+
+
 class TestStartup:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # Compare module sets before and after, since site may preload modules.
-        code = (
-            "import sys; before = set(sys.modules); import adaptmeter.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        loaded = set(proc.stdout.split())
+        loaded = _modules_loaded_by("import adaptmeter.cli")
         assert "adaptmeter.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = _modules_loaded_by("import adaptmeter")
+        assert "adaptmeter" in loaded
+        assert not {name for name in loaded if name.startswith("adaptmeter.")}
+
+    def test_text_analyze_loads_neither_sweep_nor_random_nor_json(self):
+        loaded = _modules_loaded_by(
+            f"from adaptmeter.cli import main\nassert main(['analyze', {TRAVEL!r}, '--aspects', {ASPECTS_DIR!r}]) == 0"
+        )
+        assert {"adaptmeter.matching", "adaptmeter.metrics", "adaptmeter.report"} <= loaded
+        assert loaded.isdisjoint({"adaptmeter.sweep", "random", "json"})
+
+    def test_exhaustive_sweep_loads_neither_matching_nor_selectors_nor_json(self):
+        loaded = _modules_loaded_by(f"from adaptmeter.cli import main\nassert main(['sweep', {MINI!r}, '--exhaustive']) == 0")
+        assert "adaptmeter.sweep" in loaded
+        assert loaded.isdisjoint({"adaptmeter.matching", "adaptmeter.selectors", "json"})
+
+    def test_every_public_name_resolves_and_star_import_binds_it(self):
+        code = (
+            "import adaptmeter\n"
+            "namespace = {}\n"
+            "exec('from adaptmeter import *', namespace)\n"
+            "assert len(adaptmeter.__all__) == 50\n"
+            "for name in adaptmeter.__all__:\n"
+            "    assert namespace[name] is getattr(adaptmeter, name), name\n"
+            "assert not hasattr(adaptmeter, 'no_such_name')\n"
+        )
+        _python("-c", code)
+
+    def test_process_entry_freezes_the_heap_before_exit(self):
+        code = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['adapt-meter', 'analyze', {TRAVEL!r}]\n"
+            "try:\n"
+            "    runpy.run_module('adaptmeter', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    sys.stderr.write(f'{exc.code} {gc.get_freeze_count()}')\n"
+        )
+        status, frozen = _python("-c", code).stderr.split()
+        assert status == "0"
+        assert int(frozen) > 0
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["analyze", TRAVEL], 0), (["analyze", VERIFY], 1), (["analyze", str(FIXTURES_DIR / "missing.bpel")], 2)],
+    )
+    def test_process_exit_status(self, argv, status):
+        proc = _python("-m", "adaptmeter", *argv, check=False)
+        assert proc.returncode == status
+        assert proc.stderr.startswith("error: ") == (status != 0)
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, _ = run_cli(capsys, "analyze", TRAVEL, "--aspects", ASPECTS_DIR)
+        assert code == 0
+        assert "PAM = 0.2917 (7/24)" in out
+        assert gc.get_freeze_count() == before
 
 
 class TestColor:
