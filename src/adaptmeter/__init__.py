@@ -50,7 +50,7 @@ _EXPORTS = {
         "iter_activities",
         "resolve_path",
     ),
-    "parsing": ("Aspect", "Pointcut", "parse_aspect", "parse_process", "serialize_process"),
+    "parsing": ("Aspect", "Pointcut", "load_aspects", "parse_aspect", "parse_process", "serialize_process"),
     "selectors": ("PointcutSelector", "SelectorStep", "parse_selector", "render_selector"),
     "sweep": (
         "SweepCase",

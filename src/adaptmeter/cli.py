@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import AdaptMeterError, ConfigError, MalformedXml
+from .errors import AdaptMeterError, ConfigError
 from .model import AnalysisConfig
-from .parsing import Aspect, _aspect_from_node, _load_xml, parse_aspect, parse_process
+from .parsing import _load, load_aspects, parse_process
 
 # Each subcommand imports the layers it runs inside its own function, so
 # a process loads only the modules its subcommand needs.
@@ -96,62 +96,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        error = MalformedXml(f"not UTF-8 text: {exc}")
-        error.source = str(path)
-        raise error from exc
-
-
-def _load_process(path_text: str):
-    path = Path(path_text)
-    text = _read_text(path)
-    try:
-        return parse_process(text)
-    except AdaptMeterError as exc:
-        exc.source = str(path)
-        raise
-
-
-def _load_aspects(path_args: list[str]) -> tuple[list[Aspect], list[str]]:
-    """Expand --aspects arguments; directories are scanned non-recursively.
-
-    In a directory, *.xml files without an <aspect> root are skipped,
-    and unreadable XML (malformed, or not UTF-8) is skipped with a note;
-    a file named directly must parse.
-    """
-    aspects: list[Aspect] = []
-    notes: list[str] = []
-    for raw in path_args:
-        path = Path(raw)
-        if path.is_dir():
-            for candidate in sorted(path.glob("*.xml")):
-                if not candidate.is_file():
-                    continue
-                try:
-                    node = _load_xml(_read_text(candidate))
-                except MalformedXml as exc:
-                    notes.append(f"skipping {candidate}: {exc}")
-                    continue
-                if node.tag != "aspect":
-                    continue
-                try:
-                    aspects.append(_aspect_from_node(node))
-                except AdaptMeterError as exc:
-                    exc.source = str(candidate)
-                    raise
-        else:
-            text = _read_text(path)
-            try:
-                aspects.append(parse_aspect(text))
-            except AdaptMeterError as exc:
-                exc.source = str(path)
-                raise
-    return aspects, notes
-
-
 def _emit_warnings(messages, prefix: str = "") -> None:
     for message in messages:
         print(f"warning: {prefix}{message}", file=sys.stderr)
@@ -163,16 +107,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .report import render_json, render_text
 
     config = _build_config(args)
-    process = _load_process(args.process)
-    aspects, notes = _load_aspects(args.aspects)
+    process = _load(Path(args.process), parse_process)
+    aspects, notes = load_aspects(args.aspects)
     profile = bind_aspects(process, aspects, config)
     result = process_adaptability(process, profile, config)
     _emit_warnings(notes)
     _emit_warnings(result.warnings)
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, process, color=_use_color()))
+    report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
+    # One write: a report and its newline written apart could meet a closed
+    # pipe in between, and the exit status then depended on timing.
+    sys.stdout.write(report + "\n")
     return 0
 
 
@@ -183,7 +127,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import exhaustive_sweep, run_sweep
 
     config = _build_config(args)
-    process = _load_process(args.process)
+    process = _load(Path(args.process), parse_process)
     if args.exhaustive:
         text = exhaustive_csv(exhaustive_sweep(process, config))
     else:
@@ -201,11 +145,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .report import render_compare_json, render_compare_text
 
     config = _build_config(args)
-    left_process = _load_process(args.process_a)
-    right_process = _load_process(args.process_b)
-    left_aspects, left_notes = _load_aspects(args.aspects)
+    left_process = _load(Path(args.process_a), parse_process)
+    right_process = _load(Path(args.process_b), parse_process)
+    left_aspects, left_notes = load_aspects(args.aspects)
     right_paths = args.aspects2 if args.aspects2 is not None else args.aspects
-    right_aspects, right_notes = _load_aspects(right_paths)
+    right_aspects, right_notes = load_aspects(right_paths)
     left = process_adaptability(left_process, bind_aspects(left_process, left_aspects, config), config)
     right = process_adaptability(right_process, bind_aspects(right_process, right_aspects, config), config)
     _emit_warnings(left_notes, "left: ")
@@ -213,9 +157,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _emit_warnings(right_notes, "right: ")
     _emit_warnings(right.warnings, "right: ")
     if args.format == "json":
-        print(render_compare_json(left, right, args.process_a, args.process_b))
+        report = render_compare_json(left, right, args.process_a, args.process_b)
     else:
-        print(render_compare_text(left, right, args.process_a, args.process_b, color=_use_color()))
+        report = render_compare_text(left, right, args.process_a, args.process_b, color=_use_color())
+    sys.stdout.write(report + "\n")
     return 0
 
 

@@ -11,7 +11,8 @@ nothing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
 
@@ -72,22 +73,22 @@ class VariabilityProfile(Record):
             JoinPointBinding("direct", f"slot{index}", path, advice_type)
             for index, (path, advice_type) in enumerate(assignments)
         )
-        return cls._from_bindings(bindings, ())
+        return cls._from_bindings(bindings, attrgetter("order_key"), ())
 
     @classmethod
     def _from_bindings(
-        cls, bindings: Sequence[JoinPointBinding], warnings: tuple[str, ...]
+        cls, bindings: Sequence[JoinPointBinding], place: Callable[[ActivityPath], object], warnings: tuple[str, ...]
     ) -> "VariabilityProfile":
+        """Order the bindings; ``place`` gives a path's sort key, which follows pre-order."""
         ordered = sorted(
             bindings,
-            key=lambda b: (b.path.order_key, b.aspect_name, b.pointcut_name, ADVICE_TYPES.index(b.advice_type)),
+            key=lambda b: (place(b.path), b.aspect_name, b.pointcut_name, ADVICE_TYPES.index(b.advice_type)),
         )
-        entries: dict[ActivityPath, frozenset[str]] = {}
         raw_counts: dict[ActivityPath, dict[str, int]] = {}
         for binding in ordered:
-            entries[binding.path] = entries.get(binding.path, frozenset()) | {binding.advice_type}
             counts = raw_counts.setdefault(binding.path, {})
             counts[binding.advice_type] = counts.get(binding.advice_type, 0) + 1
+        entries = {path: frozenset(counts) for path, counts in raw_counts.items()}
         return cls(entries, tuple(ordered), raw_counts, warnings)
 
 
@@ -151,6 +152,9 @@ def bind_aspects(
     advice type. Disabled aspects are skipped unless the config says
     otherwise; matches on non-join-point activities become warnings.
     """
+    # Matches are the index's own paths, so identity finds each one's pre-order rank.
+    index = process.index
+    rank_of = dict(zip(map(id, index.paths), range(len(index.paths))))
     bindings: list[JoinPointBinding] = []
     warnings: list[str] = []
     for aspect in aspects:
@@ -169,4 +173,4 @@ def bind_aspects(
                         f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
                         f"match at {path} is not a join point (<{path.kind}>); skipped"
                     )
-    return VariabilityProfile._from_bindings(bindings, tuple(warnings))
+    return VariabilityProfile._from_bindings(bindings, lambda path: rank_of[id(path)], tuple(warnings))

@@ -28,10 +28,11 @@ that way, and sweeps use the weights to update PAM slot by slot.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
-from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
+from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
 from .model import Record, _set
 
 if TYPE_CHECKING:
@@ -122,7 +123,8 @@ def _divisors(index: ProcessIndex, config: AnalysisConfig) -> list[int]:
     eligible ones: join points, and structured children with a join
     point below them. Basic ranks get n = 0.
     """
-    eligible = [is_join_point(activity, config) for activity in index.activities]
+    kinds = config.join_point_kinds
+    eligible = [activity.kind in kinds for activity in index.activities]
     divisors = [0] * len(eligible)
     for rank in range(len(eligible) - 1, 0, -1):
         parent = index.parents[rank]
@@ -137,26 +139,40 @@ def process_adaptability(
 ) -> MetricsResult:
     """Evaluate the whole process: PAM is the root activity's VD."""
     index = process.index
+    reference = config.reference_value
+    # The only VDs a join point or a basic activity can have, built once.
+    degrees = [Fraction(vv, reference) for vv in range(reference + 1)]
+    size = len(index.paths)
+    nodes: list[NodeVD | None] = [None] * size
+    # VD(rank) == nums[rank] / dens[rank], so sums over children stay integer.
+    nums, dens = [0] * size, [1] * size
     # Join points are scored in pre-order, so ReferenceTooSmall reports
     # the first offending one in document order.
-    nodes: list[NodeVD | None] = [None] * len(index.paths)
     for rank, (path, activity) in enumerate(zip(index.paths, index.activities)):
-        if is_join_point(activity, config):
+        if activity.kind in config.join_point_kinds:
             vv = variability_value(profile, path, config)
-            nodes[rank] = NodeVD(path, activity.kind, variability_degree(vv, config.reference_value), vv=vv)
-        elif activity.is_basic:
-            nodes[rank] = NodeVD(path, activity.kind, Fraction(0))
+            vd = degrees[vv] if vv <= reference else variability_degree(vv, reference)  # the latter raises
+            nodes[rank] = NodeVD(path, activity.kind, vd, vv)
+            nums[rank], dens[rank] = vv, reference
+        elif activity.kind in BASIC_KINDS:
+            nodes[rank] = NodeVD(path, activity.kind, degrees[0])
     divisors = _divisors(index, config)
-    for rank in range(len(nodes) - 1, -1, -1):
+    for rank in range(size - 1, -1, -1):
         if nodes[rank] is not None:
             continue
-        children = tuple(nodes[child] for child in index.children(rank))
+        children = list(index.children(rank))
         n = divisors[rank]
         # Ineligible children score zero, so summing all of them equals
         # summing the eligible ones; only the divisor differs.
-        total = sum((child.vd for child in children), Fraction(0))
-        vd = total / n if n else Fraction(0)
-        nodes[rank] = NodeVD(index.paths[rank], index.activities[rank].kind, vd, n_used=n, children=children)
+        vd = degrees[0]
+        if n:
+            common = lcm(*[dens[child] for child in children])
+            total = sum([nums[child] * (common // dens[child]) for child in children])
+            if total:
+                vd = Fraction(total, common * n)
+                nums[rank], dens[rank] = vd.numerator, vd.denominator
+        nodes[rank] = NodeVD(index.paths[rank], index.activities[rank].kind, vd, None, n,
+                             tuple([nodes[child] for child in children]))
     return MetricsResult(process.name, nodes[0], nodes[0].vd, config, profile.warnings)
 
 

@@ -169,10 +169,6 @@ class ActivityPath(Record):
         _set(self, "steps", steps)
 
     @classmethod
-    def root(cls, kind: str) -> ActivityPath:
-        return cls(((kind, 0),))
-
-    @classmethod
     def from_text(cls, text: str) -> ActivityPath:
         """Parse the canonical ``/process/sequence[0]/invoke[2]`` form."""
         prefix = "/process/"
@@ -187,9 +183,6 @@ class ActivityPath(Record):
         if not steps:
             raise ValueError(f"empty activity path: {text!r}")
         return cls(tuple(steps))
-
-    def child(self, kind: str, index: int) -> ActivityPath:
-        return ActivityPath(self.steps + ((kind, index),))
 
     @property
     def kind(self) -> str:
@@ -248,21 +241,24 @@ class ProcessIndex(Record):
         """Index a tree in one iterative pre-order pass."""
         paths, activities, parents = [], [], []
         by_kind: dict[str, list[int]] = {}
-        stack = [(ActivityPath.root(root.kind), root, -1)]
+        # Each entry carries the node's steps; each child's are built once, here.
+        stack = [(((root.kind, 0),), root, -1)]
         while stack:
-            path, activity, parent = stack.pop()
+            steps, activity, parent = stack.pop()
             rank = len(activities)
-            paths.append(path)
+            paths.append(ActivityPath(steps))
             activities.append(activity)
             parents.append(parent)
             by_kind.setdefault(activity.kind, []).append(rank)
-            children = reversed(tuple(enumerate(activity.children)))
-            stack.extend((path.child(child.kind, index), child, rank) for index, child in children)
+            if activity.children:
+                stack += reversed([(steps + ((child.kind, index),), child, rank)
+                                   for index, child in enumerate(activity.children)])
         ends = list(range(1, len(activities) + 1))
         # Descendants outrank their ancestors, so sweeping ranks downwards
         # closes every subtree before it extends its parent's.
         for rank in range(len(activities) - 1, 0, -1):
-            ends[parents[rank]] = max(ends[parents[rank]], ends[rank])
+            if ends[parents[rank]] < ends[rank]:
+                ends[parents[rank]] = ends[rank]
         kinds = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
         return cls(tuple(paths), tuple(activities), tuple(parents), tuple(ends), kinds)
 

@@ -9,24 +9,18 @@ specs, payload literals) is treated as opaque and ignored.
 
 from __future__ import annotations
 
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Callable, Iterable
 from xml.parsers import expat
 
-from .errors import BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError, UnsupportedElement
-from .model import (
-    ACTIVITY_KINDS,
-    ADVICE_TYPES,
-    BASIC_KINDS,
-    BRANCHING_KINDS,
-    STRUCTURED_KINDS,
-    Activity,
-    BranchLabel,
-    ProcessModel,
-    Record,
-    _set,
-)
+from .errors import AdaptMeterError, BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError
+from .errors import UnsupportedElement
+from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, BRANCHING_KINDS, STRUCTURED_KINDS, Activity, BranchLabel
+from .model import ProcessModel, Record, _set
 
 if TYPE_CHECKING:
+    import os
+    from pathlib import Path
+
     from .selectors import PointcutSelector
 
 
@@ -57,52 +51,197 @@ class Aspect(Record):
         _set(self, "enabled", enabled)
 
 
-class _XmlNode:
-    """One element while a document is read; its children and text grow as it is parsed.
+_ENABLED = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-    ``text`` holds the element's own character data in the chunks the
-    parser delivered; join them to read it.
+
+def _wrap_error(tag: str, line: int, found: int) -> StructuralError:
+    return StructuralError(f"<{tag}> must wrap exactly one activity, found {found}", line=line)
+
+
+# The role of an open element, which decides what its children may be.
+# Roles up to _ROOT hold activities; a _WRAPPER (a switch/pick branch or
+# an <advice>) must hold exactly one.
+_ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT = range(8)
+_SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
+_BRANCHES = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
+_DRAINED = (None,)  # the frame of an element read after the first error
+
+
+def _build(text: str, root_tag: str, other_roots: bool = False):
+    """Read a process or aspect document in one streaming pass.
+
+    Each element is checked when its start or end tag arrives, in the order
+    a recursive descent over the finished tree would check it, and each
+    activity is built when its element closes. Malformed XML outranks any
+    other error, so after the first error expat still reads the rest. A
+    descent counts a branch wrapper's or an <advice>'s activities before it
+    checks them; so the wrappers open at the first error keep counting, and
+    the outermost one that does not hold exactly one activity reports instead.
+
+    Returns the ProcessModel or Aspect, or None for a document whose root
+    is not ``root_tag`` when ``other_roots`` is set.
     """
-
-    __slots__ = ("tag", "attributes", "line", "children", "text")
-
-    def __init__(self, tag: str, attributes: dict[str, str], line: int) -> None:
-        self.tag = tag
-        self.attributes = attributes
-        self.line = line
-        self.children: list[_XmlNode] = []
-        self.text: list[str] = []
-
-
-def _local(name: str) -> str:
-    return name.rpartition(":")[2]
-
-
-def _load_xml(text: str) -> _XmlNode:
-    """Parse XML text into a namespace-stripped node tree with line numbers."""
+    if root_tag == "aspect":
+        from .selectors import parse_selector
     parser = expat.ParserCreate()
-    root: list[_XmlNode] = []
-    stack: list[_XmlNode] = []
+    # An open element's frame: [role, tag, line, name, attributes, children, labels].
+    stack: list = [[_DOCUMENT, None, 0, None, None, [], None]]
+    sections = {tag: (entry, []) for tag, entry in _SECTIONS.items()}
+    skip = 0  # open elements inside opaque content: basic activities, declarations, pointcut children
+    # Without ':' and 'xmlns' a text has no prefixed names and no namespace
+    # declarations, so expat's names are already local ones.
+    plain = ":" not in text and "xmlns" not in text
+    error: AdaptMeterError | None = None
+    result = None
+
+    def fail(exc: AdaptMeterError, opened: bool) -> None:
+        nonlocal error
+        error = exc
+        for frame in stack:
+            if frame[0] == _WRAPPER:
+                frame[5].append(None)  # its child that failed or holds the failure
+        if opened:  # a start tag failed, so its element is open
+            stack.append(_DRAINED)
+        parser.StartElementHandler, parser.EndElementHandler = drained_start, drained_end
+        parser.CharacterDataHandler = None
+
+    def drained_start(tag: str, attrs: dict[str, str]) -> None:
+        if stack[-1][0] == _WRAPPER:
+            stack[-1][5].append(None)
+        stack.append(_DRAINED)
+
+    def drained_end(tag: str) -> None:
+        nonlocal error
+        frame = stack.pop()
+        if frame[0] == _WRAPPER and len(frame[5]) != 1:
+            error = _wrap_error(frame[1], frame[2], len(frame[5]))
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        cleaned = {
-            _local(key): value
-            for key, value in attrs.items()
-            if key != "xmlns" and not key.startswith("xmlns:")
-        }
-        node = _XmlNode(_local(tag), cleaned, parser.CurrentLineNumber)
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            root.append(node)
-        stack.append(node)
+        nonlocal skip
+        if skip:
+            skip += 1
+            return
+        if not plain:
+            tag = tag.rpartition(":")[2]
+            if attrs:
+                attrs = {key.rpartition(":")[2]: value for key, value in attrs.items()
+                         if key != "xmlns" and not key.startswith("xmlns:")}
+        parent = stack[-1]
+        role = parent[0]
+        try:
+            if role == _ROOT and tag not in _SECTIONS:
+                if tag not in ACTIVITY_KINDS:
+                    raise UnsupportedElement(f"unsupported element <{tag}> in <process>", line=parser.CurrentLineNumber)
+                parent[6].append(parser.CurrentLineNumber)
+            elif role >= _ROOT:
+                line = parser.CurrentLineNumber
+                if role <= _ASPECT and tag in _SECTIONS:
+                    entry, entries = sections[tag]
+                    stack.append([_SECTION, tag, line, entry, None, entries, None])
+                elif role == _ASPECT and tag == "pointcut":
+                    name = attrs.get("name") or f"pointcut{len(parent[5]) + 1}"
+                    stack.append([_POINTCUT, tag, line, name, None, [], None])
+                    parser.CharacterDataHandler = stack[-1][5].append
+                elif role == _ASPECT:
+                    if tag != "advice":
+                        raise UnsupportedElement(f"unsupported element <{tag}> in <aspect>", line=line)
+                    if attrs.get("type", "") not in ADVICE_TYPES:
+                        raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, "
+                                            f"got {attrs.get('type', '')!r}", line=line)
+                    stack.append([_WRAPPER, tag, line, attrs["type"], attrs, [], None])
+                elif role == _BRANCHING:
+                    allowed = _BRANCHES[parent[1]]
+                    if tag not in allowed:
+                        raise UnsupportedElement(f"<{parent[1]}> branches must be "
+                                                 f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>", line=line)
+                    stack.append([_WRAPPER, tag, line, None, attrs, [], None])
+                elif role == _SECTION:
+                    if tag != parent[3]:
+                        raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[1]}>", line=line)
+                    parent[5].append((attrs.pop("name", ""), attrs))
+                    skip = 1
+                elif role == _POINTCUT:
+                    parser.CharacterDataHandler = None
+                    skip = 1
+                elif tag != root_tag:
+                    if not other_roots:
+                        raise StructuralError(f"expected <{root_tag}> document root, got <{tag}>", line=line)
+                    parser.StartElementHandler = parser.EndElementHandler = None
+                else:
+                    name = attrs.pop("name", "")
+                    if not name:
+                        raise StructuralError(f"<{tag}> requires a non-empty name attribute", line=line)
+                    if tag == "process":
+                        stack.append([_ROOT, tag, line, name, attrs, [], []])
+                    else:
+                        enabled = _ENABLED.get(attrs.get("enabled", "true").strip().lower())
+                        if enabled is None:
+                            raise StructuralError(f"bad enabled value {attrs['enabled']!r} (expected true/false)",
+                                                  line=line)
+                        stack.append([_ASPECT, tag, line, name, enabled, [], []])
+                return
+            # an activity, in a structured activity, a wrapper or the process
+            if tag in BASIC_KINDS:
+                parent[5].append(Activity(tag, attrs.pop("name", None), attrs))
+                skip = 1
+            elif tag in STRUCTURED_KINDS:
+                role = _BRANCHING if tag in BRANCHING_KINDS else _ACTIVITY
+                stack.append([role, tag, parser.CurrentLineNumber, attrs.pop("name", None), attrs, [], []])
+            else:
+                raise UnsupportedElement(f"<{tag}> is not a supported activity", line=parser.CurrentLineNumber)
+        except AdaptMeterError as exc:
+            fail(exc, True)
 
     def end(tag: str) -> None:
-        stack.pop()
-
-    def chars(data: str) -> None:
-        if stack:
-            stack[-1].text.append(data)
+        nonlocal skip, result
+        if skip:
+            skip -= 1
+            if not skip and stack[-1][0] == _POINTCUT:
+                parser.CharacterDataHandler = stack[-1][5].append
+            return
+        role, tag, line, name, attributes, children, labels = stack.pop()
+        parent = stack[-1]
+        try:
+            if role == _ACTIVITY or role == _BRANCHING:
+                try:
+                    activity = Activity(tag, name, attributes, tuple(children),
+                                        tuple(labels) if role == _BRANCHING else None)
+                except StructuralError as exc:
+                    exc.line = line
+                    raise
+                parent[5].append(activity)
+            elif role == _WRAPPER:
+                if len(children) != 1:
+                    raise _wrap_error(tag, line, len(children))
+                if parent[0] == _BRANCHING:
+                    parent[6].append(BranchLabel(tag, attributes))
+                    parent[5].append(children[0])
+                else:  # an <advice>, whose name slot holds its type
+                    parent[6].append((name, children[0]))
+            elif role == _POINTCUT:
+                parser.CharacterDataHandler = None
+                try:
+                    parent[5].append(Pointcut(name, parse_selector("".join(children))))
+                except SelectorSyntax as exc:
+                    raise SelectorSyntax(f"pointcut '{name}': {exc}", line=line) from exc
+            elif role == _ROOT:
+                if len(children) != 1:
+                    raise StructuralError(f"<process> must contain exactly one root activity, found {len(children)}",
+                                          line=line)
+                if children[0].kind not in STRUCTURED_KINDS:
+                    raise StructuralError(f"process root activity must be structured, got <{children[0].kind}>",
+                                          line=labels[0])
+                result = ProcessModel(name, children[0], tuple(sections["partnerLinks"][1]),
+                                      tuple(sections["variables"][1]), attributes)
+            elif role == _ASPECT:
+                if not children:
+                    raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=line)
+                if len(labels) != 1:
+                    raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(labels)}",
+                                          line=line)
+                result = Aspect(name, tuple(children), labels[0][0], labels[0][1], attributes)
+        except AdaptMeterError as exc:
+            fail(exc, False)
 
     def doctype(*_) -> None:
         # The grammar needs no DTD; refusing one also refuses entity declarations.
@@ -112,82 +251,18 @@ def _load_xml(text: str) -> _XmlNode:
     parser.StartDoctypeDeclHandler = doctype
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
     try:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise MalformedXml(str(exc), line=exc.lineno) from exc
     finally:
         # The handlers refer to the parser, a cycle that would keep the
-        # whole node tree alive until the cyclic collector runs.
+        # frames alive until the cyclic collector runs.
         parser.StartDoctypeDeclHandler = parser.StartElementHandler = None
         parser.EndElementHandler = parser.CharacterDataHandler = None
-    if not root:
-        raise MalformedXml("document has no root element")
-    return root[0]
-
-
-def _read(source: str | IO[str]) -> str:
-    if isinstance(source, str):
-        return source
-    return source.read()
-
-
-def _parse_declarations(container: _XmlNode, entry_tag: str) -> list[tuple[str, dict[str, str]]]:
-    entries = []
-    for child in container.children:
-        if child.tag != entry_tag:
-            raise UnsupportedElement(f"unsupported element <{child.tag}> in <{container.tag}>", line=child.line)
-        attributes = dict(child.attributes)
-        entries.append((attributes.pop("name", ""), attributes))
-    return entries
-
-
-def _frame(node: _XmlNode) -> tuple[_XmlNode, list[Activity], list[BranchLabel]]:
-    if node.tag not in ACTIVITY_KINDS:
-        raise UnsupportedElement(f"<{node.tag}> is not a supported activity", line=node.line)
-    return node, [], []
-
-
-def _parse_activity(root: _XmlNode) -> Activity:
-    """Build the activity under ``root`` without recursion, so nesting depth is unbounded."""
-    # Elements are checked in document order and activities built bottom-up, as in a
-    # recursive descent, so a bad document fails at the same element. A frame holds an
-    # element and the activities and branch labels of its children built so far.
-    stack = [_frame(root)]
-    while True:
-        node, children, labels = stack[-1]
-        if node.tag not in BASIC_KINDS and len(children) < len(node.children):
-            child = node.children[len(children)]
-            if node.tag in BRANCHING_KINDS:
-                # switch / pick: children are branch wrappers, each holding one activity
-                allowed = ("case", "otherwise") if node.tag == "switch" else ("onMessage", "onAlarm")
-                if child.tag not in allowed:
-                    raise UnsupportedElement(
-                        f"<{node.tag}> branches must be {' or '.join(f'<{a}>' for a in allowed)}, got <{child.tag}>",
-                        line=child.line,
-                    )
-                if len(child.children) != 1:
-                    raise StructuralError(
-                        f"<{child.tag}> must wrap exactly one activity, found {len(child.children)}",
-                        line=child.line,
-                    )
-                labels.append(BranchLabel(child.tag, dict(child.attributes)))
-                child = child.children[0]
-            stack.append(_frame(child))
-            continue
-        stack.pop()
-        attributes = dict(node.attributes)
-        name = attributes.pop("name", None)
-        branch_labels = tuple(labels) if node.tag in BRANCHING_KINDS else None
-        try:
-            activity = Activity(node.tag, name, attributes, tuple(children), branch_labels)
-        except StructuralError as exc:
-            exc.line = node.line
-            raise
-        if not stack:
-            return activity
-        stack[-1][1].append(activity)
+    if error is not None:
+        raise error
+    return result
 
 
 def parse_process(source: str | IO[str]) -> ProcessModel:
@@ -197,110 +272,55 @@ def parse_process(source: str | IO[str]) -> ProcessModel:
     optional <partnerLinks> and <variables> sections and exactly one
     structured root activity.
     """
-    root = _load_xml(_read(source))
-    if root.tag != "process":
-        raise StructuralError(f"expected <process> document root, got <{root.tag}>", line=root.line)
-    name = root.attributes.get("name", "")
-    if not name:
-        raise StructuralError("<process> requires a non-empty name attribute", line=root.line)
-    partner_links: list[tuple[str, dict[str, str]]] = []
-    variables: list[tuple[str, dict[str, str]]] = []
-    body: list[tuple[Activity, int]] = []
-    for child in root.children:
-        if child.tag == "partnerLinks":
-            partner_links.extend(_parse_declarations(child, "partnerLink"))
-        elif child.tag == "variables":
-            variables.extend(_parse_declarations(child, "variable"))
-        elif child.tag in ACTIVITY_KINDS:
-            body.append((_parse_activity(child), child.line))
-        else:
-            raise UnsupportedElement(f"unsupported element <{child.tag}> in <process>", line=child.line)
-    if len(body) != 1:
-        raise StructuralError(f"<process> must contain exactly one root activity, found {len(body)}", line=root.line)
-    activity, line = body[0]
-    if activity.kind not in STRUCTURED_KINDS:
-        raise StructuralError(f"process root activity must be structured, got <{activity.kind}>", line=line)
-    attributes = {key: value for key, value in root.attributes.items() if key != "name"}
-    return ProcessModel(
-        name=name,
-        root=activity,
-        partner_links=tuple(partner_links),
-        variables=tuple(variables),
-        attributes=attributes,
-    )
-
-
-_TRUE_WORDS = frozenset({"true", "1", "yes"})
-_FALSE_WORDS = frozenset({"false", "0", "no"})
-
-
-def _parse_enabled(value: str, line: int) -> bool:
-    word = value.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise StructuralError(f"bad enabled value {value!r} (expected true/false)", line=line)
+    return _build(source if isinstance(source, str) else source.read(), "process")
 
 
 def parse_aspect(source: str | IO[str]) -> Aspect:
     """Parse an aspect document: pointcuts plus exactly one typed advice."""
-    root = _load_xml(_read(source))
-    if root.tag != "aspect":
-        raise StructuralError(f"expected <aspect> document root, got <{root.tag}>", line=root.line)
-    return _aspect_from_node(root)
+    return _build(source if isinstance(source, str) else source.read(), "aspect")
 
 
-def _aspect_from_node(root: _XmlNode) -> Aspect:
-    from .selectors import parse_selector
+def _load(path: Path, parse: Callable[[str], object]):
+    """``parse`` the UTF-8 text of a file; an error's ``source`` names the file."""
+    try:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedXml(f"not UTF-8 text: {exc}") from exc
+        return parse(text)
+    except AdaptMeterError as exc:
+        exc.source = str(path)
+        raise
 
-    name = root.attributes.get("name", "")
-    if not name:
-        raise StructuralError("<aspect> requires a non-empty name attribute", line=root.line)
-    enabled = True
-    if "enabled" in root.attributes:
-        enabled = _parse_enabled(root.attributes["enabled"], root.line)
-    pointcuts: list[Pointcut] = []
-    advices: list[tuple[str, Activity]] = []
-    for child in root.children:
-        if child.tag in ("partnerLinks", "variables"):
-            # checked like a process's declarations (each entry tag is the
-            # section tag without its "s"), but not kept
-            _parse_declarations(child, child.tag[:-1])
-        elif child.tag == "pointcut":
-            pointcut_name = child.attributes.get("name") or f"pointcut{len(pointcuts) + 1}"
+
+def load_aspects(paths: Iterable[str | os.PathLike[str]]) -> tuple[list[Aspect], list[str]]:
+    """Read aspect files and directories; return the aspects and notes on skipped files.
+
+    A directory contributes its ``*.xml`` files (not its subdirectories),
+    in name order. There, a file whose root is not <aspect> is skipped,
+    and one that is not well-formed UTF-8 XML is skipped with a note. A
+    file named directly must parse. An error's ``source`` names its file.
+    """
+    from pathlib import Path
+
+    aspects: list[Aspect] = []
+    notes: list[str] = []
+    for raw in paths:
+        path = Path(raw)
+        if not path.is_dir():
+            aspects.append(_load(path, parse_aspect))
+            continue
+        for candidate in sorted(path.glob("*.xml")):
+            if not candidate.is_file():
+                continue
             try:
-                selector = parse_selector("".join(child.text))
-            except SelectorSyntax as exc:
-                raise SelectorSyntax(f"pointcut '{pointcut_name}': {exc}", line=child.line) from exc
-            pointcuts.append(Pointcut(pointcut_name, selector))
-        elif child.tag == "advice":
-            advice_type = child.attributes.get("type", "")
-            if advice_type not in ADVICE_TYPES:
-                raise BadAdviceType(
-                    f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}",
-                    line=child.line,
-                )
-            if len(child.children) != 1:
-                raise StructuralError(
-                    f"<advice> must wrap exactly one activity, found {len(child.children)}",
-                    line=child.line,
-                )
-            advices.append((advice_type, _parse_activity(child.children[0])))
-        else:
-            raise UnsupportedElement(f"unsupported element <{child.tag}> in <aspect>", line=child.line)
-    if not pointcuts:
-        raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=root.line)
-    if len(advices) != 1:
-        raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(advices)}", line=root.line)
-    advice_type, advice_body = advices[0]
-    return Aspect(
-        name=name,
-        pointcuts=tuple(pointcuts),
-        advice_type=advice_type,
-        advice_body=advice_body,
-        enabled=enabled,
-    )
+                aspect = _load(candidate, lambda text: _build(text, "aspect", other_roots=True))
+            except MalformedXml as exc:
+                notes.append(f"skipping {candidate}: {exc}")
+                continue
+            if aspect is not None:
+                aspects.append(aspect)
+    return aspects, notes
 
 
 # Whitespace other than a space is escaped too: a parser turns a literal

@@ -15,7 +15,7 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
-    from .model import ProcessModel
+    from .model import ActivityPath, ProcessModel
     from .sweep import SweepResult
 
 SCHEMA_VERSION = "1"
@@ -32,10 +32,9 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
     return text
 
 
-def _node_label(node: NodeVD, name: str | None) -> str:
-    indent = "  " * (node.path.depth - 1)
-    kind, index = node.path.steps[-1]
-    label = f"{indent}{kind}[{index}]"
+def _node_label(path: ActivityPath, name: str | None) -> str:
+    kind, index = path.steps[-1]
+    label = f"{'  ' * (len(path.steps) - 1)}{kind}[{index}]"
     if name:
         label += f" '{name}'"
     return label
@@ -60,12 +59,20 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
         f"count mode: {config.count_mode}",
         "",
     ]
+    # Few nodes differ in (vd, vv, n_used), so each detail is formatted once,
+    # keyed by integers: hashing a Fraction costs more than formatting it.
+    details: dict[tuple, str] = {}
+    labels, rows = [], []
     # The VD walk and the process index are both in pre-order.
-    nodes = list(result.root.walk())
-    labels = [_node_label(node, activity.name) for node, activity in zip(nodes, process.index.activities)]
-    width = max(len(label) for label in labels) + 2
-    for label, node in zip(labels, nodes):
-        lines.append(f"{label:<{width}}{_node_detail(node)}")
+    for node, activity in zip(result.root.walk(), process.index.activities):
+        key = (node.vd.numerator, node.vd.denominator, node.vv, node.n_used)
+        detail = details.get(key)
+        if detail is None:
+            detail = details[key] = _node_detail(node)
+        labels.append(_node_label(node.path, activity.name))
+        rows.append(detail)
+    width = max(map(len, labels)) + 2
+    lines += [f"{label:<{width}}{detail}" for label, detail in zip(labels, rows)]
     lines.append("(* join point)")
     lines.append("")
     pam_line = f"PAM = {format_vd(result.pam)}"

@@ -8,22 +8,38 @@ index. They are slow on purpose and easy to check by hand.
 from __future__ import annotations
 
 from fractions import Fraction
+from xml.parsers import expat
 
 from adaptmeter import (
+    ADVICE_TYPES,
+    BASIC_KINDS,
+    STRUCTURED_KINDS,
     Activity,
     ActivityPath,
     AnalysisConfig,
+    Aspect,
+    BadAdviceType,
+    BranchLabel,
+    MalformedXml,
+    MissingPointcut,
     NodeVD,
+    Pointcut,
     PointcutSelector,
     ProcessModel,
     SelectorStep,
+    SelectorSyntax,
+    StructuralError,
+    UnsupportedElement,
     VariabilityProfile,
     is_join_point,
+    parse_selector,
     variability_degree,
     variability_value,
 )
 
 BRANCHING = ("switch", "pick")
+BRANCHING_KINDS = frozenset(BRANCHING)
+ACTIVITY_KINDS = BASIC_KINDS | STRUCTURED_KINDS
 
 
 def walk(process: ProcessModel):
@@ -32,9 +48,9 @@ def walk(process: ProcessModel):
     def visit(path: ActivityPath, activity: Activity):
         yield path, activity
         for index, child in enumerate(activity.children):
-            yield from visit(path.child(child.kind, index), child)
+            yield from visit(ActivityPath(path.steps + ((child.kind, index),)), child)
 
-    yield from visit(ActivityPath.root(process.root.kind), process.root)
+    yield from visit(ActivityPath(((process.root.kind, 0),)), process.root)
 
 
 def is_ancestor_of(path: ActivityPath, other: ActivityPath) -> bool:
@@ -65,7 +81,7 @@ def aggregate(
             return NodeVD(path, activity.kind, variability_degree(vv, config.reference_value), vv=vv)
         return NodeVD(path, activity.kind, Fraction(0))
     children = tuple(
-        aggregate(child, path.child(child.kind, index), profile, config)
+        aggregate(child, ActivityPath(path.steps + ((child.kind, index),)), profile, config)
         for index, child in enumerate(activity.children)
     )
     n = divisor(activity, config)
@@ -74,7 +90,7 @@ def aggregate(
 
 
 def aggregate_process(process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig) -> NodeVD:
-    return aggregate(process.root, ActivityPath.root(process.root.kind), profile, config)
+    return aggregate(process.root, ActivityPath(((process.root.kind, 0),)), profile, config)
 
 
 def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
@@ -120,3 +136,279 @@ def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[t
         profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in order[:count])
         series.append((count, aggregate_process(process, profile, config).vd))
     return series
+
+
+# The two-pass document reader the streaming parser replaced: expat builds
+# an element tree first, then a recursive-descent walk (made iterative)
+# checks and converts it. The differential parser tests hold the streaming
+# parser to its models and to its first error (class, message and line).
+
+
+class _XmlNode:
+    """One element while a document is read; its children and text grow as it is parsed.
+
+    ``text`` holds the element's own character data in the chunks the
+    parser delivered; join them to read it.
+    """
+
+    __slots__ = ("tag", "attributes", "line", "children", "text")
+
+    def __init__(self, tag: str, attributes: dict[str, str], line: int) -> None:
+        self.tag = tag
+        self.attributes = attributes
+        self.line = line
+        self.children: list[_XmlNode] = []
+        self.text: list[str] = []
+
+
+def _local(name: str) -> str:
+    return name.rpartition(":")[2]
+
+
+def _load_xml(text: str) -> _XmlNode:
+    """Parse XML text into a namespace-stripped node tree with line numbers."""
+    parser = expat.ParserCreate()
+    root: list[_XmlNode] = []
+    stack: list[_XmlNode] = []
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        cleaned = {
+            _local(key): value
+            for key, value in attrs.items()
+            if key != "xmlns" and not key.startswith("xmlns:")
+        }
+        node = _XmlNode(_local(tag), cleaned, parser.CurrentLineNumber)
+        if stack:
+            stack[-1].children.append(node)
+        else:
+            root.append(node)
+        stack.append(node)
+
+    def end(tag: str) -> None:
+        stack.pop()
+
+    def chars(data: str) -> None:
+        if stack:
+            stack[-1].text.append(data)
+
+    def doctype(*_) -> None:
+        # The grammar needs no DTD; refusing one also refuses entity declarations.
+        raise MalformedXml("<!DOCTYPE> declarations are not allowed", line=parser.CurrentLineNumber)
+
+    parser.buffer_text = True
+    parser.StartDoctypeDeclHandler = doctype
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chars
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise MalformedXml(str(exc), line=exc.lineno) from exc
+    finally:
+        # The handlers refer to the parser, a cycle that would keep the
+        # whole node tree alive until the cyclic collector runs.
+        parser.StartDoctypeDeclHandler = parser.StartElementHandler = None
+        parser.EndElementHandler = parser.CharacterDataHandler = None
+    if not root:
+        raise MalformedXml("document has no root element")
+    return root[0]
+
+
+def _parse_declarations(container: _XmlNode, entry_tag: str) -> list[tuple[str, dict[str, str]]]:
+    entries = []
+    for child in container.children:
+        if child.tag != entry_tag:
+            raise UnsupportedElement(f"unsupported element <{child.tag}> in <{container.tag}>", line=child.line)
+        attributes = dict(child.attributes)
+        entries.append((attributes.pop("name", ""), attributes))
+    return entries
+
+
+def _frame(node: _XmlNode) -> tuple[_XmlNode, list[Activity], list[BranchLabel]]:
+    if node.tag not in ACTIVITY_KINDS:
+        raise UnsupportedElement(f"<{node.tag}> is not a supported activity", line=node.line)
+    return node, [], []
+
+
+def _parse_activity(root: _XmlNode) -> Activity:
+    """Build the activity under ``root`` without recursion, so nesting depth is unbounded."""
+    # Elements are checked in document order and activities built bottom-up, as in a
+    # recursive descent, so a bad document fails at the same element. A frame holds an
+    # element and the activities and branch labels of its children built so far.
+    stack = [_frame(root)]
+    while True:
+        node, children, labels = stack[-1]
+        if node.tag not in BASIC_KINDS and len(children) < len(node.children):
+            child = node.children[len(children)]
+            if node.tag in BRANCHING_KINDS:
+                # switch / pick: children are branch wrappers, each holding one activity
+                allowed = ("case", "otherwise") if node.tag == "switch" else ("onMessage", "onAlarm")
+                if child.tag not in allowed:
+                    raise UnsupportedElement(
+                        f"<{node.tag}> branches must be {' or '.join(f'<{a}>' for a in allowed)}, got <{child.tag}>",
+                        line=child.line,
+                    )
+                if len(child.children) != 1:
+                    raise StructuralError(
+                        f"<{child.tag}> must wrap exactly one activity, found {len(child.children)}",
+                        line=child.line,
+                    )
+                labels.append(BranchLabel(child.tag, dict(child.attributes)))
+                child = child.children[0]
+            stack.append(_frame(child))
+            continue
+        stack.pop()
+        attributes = dict(node.attributes)
+        name = attributes.pop("name", None)
+        branch_labels = tuple(labels) if node.tag in BRANCHING_KINDS else None
+        try:
+            activity = Activity(node.tag, name, attributes, tuple(children), branch_labels)
+        except StructuralError as exc:
+            exc.line = node.line
+            raise
+        if not stack:
+            return activity
+        stack[-1][1].append(activity)
+
+
+def parse_process_two_pass(text: str) -> ProcessModel:
+    """Parse a process document into a ProcessModel.
+
+    The document root must be <process> with a non-empty name, holding
+    optional <partnerLinks> and <variables> sections and exactly one
+    structured root activity.
+    """
+    root = _load_xml(text)
+    if root.tag != "process":
+        raise StructuralError(f"expected <process> document root, got <{root.tag}>", line=root.line)
+    name = root.attributes.get("name", "")
+    if not name:
+        raise StructuralError("<process> requires a non-empty name attribute", line=root.line)
+    partner_links: list[tuple[str, dict[str, str]]] = []
+    variables: list[tuple[str, dict[str, str]]] = []
+    body: list[tuple[Activity, int]] = []
+    for child in root.children:
+        if child.tag == "partnerLinks":
+            partner_links.extend(_parse_declarations(child, "partnerLink"))
+        elif child.tag == "variables":
+            variables.extend(_parse_declarations(child, "variable"))
+        elif child.tag in ACTIVITY_KINDS:
+            body.append((_parse_activity(child), child.line))
+        else:
+            raise UnsupportedElement(f"unsupported element <{child.tag}> in <process>", line=child.line)
+    if len(body) != 1:
+        raise StructuralError(f"<process> must contain exactly one root activity, found {len(body)}", line=root.line)
+    activity, line = body[0]
+    if activity.kind not in STRUCTURED_KINDS:
+        raise StructuralError(f"process root activity must be structured, got <{activity.kind}>", line=line)
+    attributes = {key: value for key, value in root.attributes.items() if key != "name"}
+    return ProcessModel(
+        name=name,
+        root=activity,
+        partner_links=tuple(partner_links),
+        variables=tuple(variables),
+        attributes=attributes,
+    )
+
+
+_TRUE_WORDS = frozenset({"true", "1", "yes"})
+_FALSE_WORDS = frozenset({"false", "0", "no"})
+
+
+def _parse_enabled(value: str, line: int) -> bool:
+    word = value.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise StructuralError(f"bad enabled value {value!r} (expected true/false)", line=line)
+
+
+def parse_aspect_two_pass(text: str) -> Aspect:
+    """Parse an aspect document: pointcuts plus exactly one typed advice."""
+    root = _load_xml(text)
+    if root.tag != "aspect":
+        raise StructuralError(f"expected <aspect> document root, got <{root.tag}>", line=root.line)
+    return _aspect_from_node(root)
+
+
+def _aspect_from_node(root: _XmlNode) -> Aspect:
+    name = root.attributes.get("name", "")
+    if not name:
+        raise StructuralError("<aspect> requires a non-empty name attribute", line=root.line)
+    enabled = True
+    if "enabled" in root.attributes:
+        enabled = _parse_enabled(root.attributes["enabled"], root.line)
+    pointcuts: list[Pointcut] = []
+    advices: list[tuple[str, Activity]] = []
+    for child in root.children:
+        if child.tag in ("partnerLinks", "variables"):
+            # checked like a process's declarations (each entry tag is the
+            # section tag without its "s"), but not kept
+            _parse_declarations(child, child.tag[:-1])
+        elif child.tag == "pointcut":
+            pointcut_name = child.attributes.get("name") or f"pointcut{len(pointcuts) + 1}"
+            try:
+                selector = parse_selector("".join(child.text))
+            except SelectorSyntax as exc:
+                raise SelectorSyntax(f"pointcut '{pointcut_name}': {exc}", line=child.line) from exc
+            pointcuts.append(Pointcut(pointcut_name, selector))
+        elif child.tag == "advice":
+            advice_type = child.attributes.get("type", "")
+            if advice_type not in ADVICE_TYPES:
+                raise BadAdviceType(
+                    f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}",
+                    line=child.line,
+                )
+            if len(child.children) != 1:
+                raise StructuralError(
+                    f"<advice> must wrap exactly one activity, found {len(child.children)}",
+                    line=child.line,
+                )
+            advices.append((advice_type, _parse_activity(child.children[0])))
+        else:
+            raise UnsupportedElement(f"unsupported element <{child.tag}> in <aspect>", line=child.line)
+    if not pointcuts:
+        raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=root.line)
+    if len(advices) != 1:
+        raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(advices)}", line=root.line)
+    advice_type, advice_body = advices[0]
+    return Aspect(
+        name=name,
+        pointcuts=tuple(pointcuts),
+        advice_type=advice_type,
+        advice_body=advice_body,
+        enabled=enabled,
+    )
+
+
+def render_text(result, process: ProcessModel, color: bool = False) -> str:
+    """The text report formatted node by node, as before details were shared."""
+    from adaptmeter.report import format_vd
+
+    def label(node: NodeVD, name) -> str:
+        kind, index = node.path.steps[-1]
+        text = f"{'  ' * (node.path.depth - 1)}{kind}[{index}]"
+        return f"{text} '{name}'" if name else text
+
+    def detail(node: NodeVD) -> str:
+        text = f"vd={format_vd(node.vd)}"
+        if node.join_point:
+            return f"{text}  vv={node.vv} *"
+        return f"{text}  n={node.n_used}" if node.n_used is not None else text
+
+    config = result.config_used
+    lines = [
+        f"process: {result.process_name}",
+        f"reference value (R): {config.reference_value}",
+        f"join-point kinds: {', '.join(sorted(config.join_point_kinds))}",
+        f"count mode: {config.count_mode}",
+        "",
+    ]
+    nodes = list(result.root.walk())
+    labels = [label(node, activity.name) for node, activity in zip(nodes, process.index.activities)]
+    width = max(len(text) for text in labels) + 2
+    lines += [f"{text:<{width}}{detail(node)}" for text, node in zip(labels, nodes)]
+    pam_line = f"PAM = {format_vd(result.pam)}"
+    lines += ["(* join point)", "", f"\x1b[1m{pam_line}\x1b[0m" if color else pam_line]
+    return "\n".join(lines)

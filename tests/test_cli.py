@@ -435,7 +435,7 @@ class TestStartup:
             "import adaptmeter\n"
             "namespace = {}\n"
             "exec('from adaptmeter import *', namespace)\n"
-            "assert len(adaptmeter.__all__) == 50\n"
+            "assert len(adaptmeter.__all__) == 51\n"
             "for name in adaptmeter.__all__:\n"
             "    assert namespace[name] is getattr(adaptmeter, name), name\n"
             "assert not hasattr(adaptmeter, 'no_such_name')\n"
@@ -470,6 +470,31 @@ class TestStartup:
         assert code == 0
         assert "PAM = 0.2917 (7/24)" in out
         assert gc.get_freeze_count() == before
+
+
+class _RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", TRAVEL, "--aspects", ASPECTS_DIR],
+    ["analyze", TRAVEL, "--aspects", ASPECTS_DIR, "--format", "json"],
+    ["compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR],
+    ["compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR, "--format", "json"],
+])
+def test_each_report_reaches_stdout_in_one_write(monkeypatch, argv):
+    # A report and its newline written apart could meet a closed pipe in between.
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.writes == [stdout.getvalue()]
+    assert stdout.getvalue().endswith("}\n" if "json" in argv else "\n")
 
 
 class TestColor:

@@ -13,6 +13,7 @@ from adaptmeter import (
     AnalysisConfig,
     PointcutSelector,
     ProcessModel,
+    ReferenceTooSmall,
     SelectorStep,
     VariabilityProfile,
     VariabilitySlot,
@@ -24,7 +25,9 @@ from adaptmeter import (
     process_adaptability,
     render_selector,
     sweep_case,
+    variability_value,
 )
+from adaptmeter.report import render_text
 import oracles
 from randtrees import random_process
 
@@ -185,6 +188,34 @@ def test_process_adaptability_agrees_with_recursive_aggregate():
         assert join_point_weights(process, config) == oracles.join_point_weights(process, config)
         raised += isinstance(expected, tuple)
     assert 0 < raised < 2000
+
+
+@pytest.mark.parametrize("count_mode", ["set", "raw-clamped"])
+@pytest.mark.parametrize("reference_value", [1, 2, 3, 5])
+def test_integer_aggregation_and_shared_details_agree_with_node_by_node_oracles(reference_value, count_mode):
+    rng = random.Random(60610 + reference_value)
+    config = AnalysisConfig(reference_value=reference_value, count_mode=count_mode)
+    rendered = raised = 0
+    for _ in range(250):
+        process = random_process(rng, max_depth=5, max_nodes=25)
+        profile = VariabilityProfile.from_assignments(_random_assignments(rng, process, config))
+        expected = _outcome(lambda: oracles.aggregate_process(process, profile, config))
+        actual = _outcome(lambda: process_adaptability(process, profile, config))
+        if isinstance(expected, tuple):
+            # the first join point in document order whose VV exceeds R
+            first = next(vv for vv in (variability_value(profile, path, config)
+                                       for path, activity in oracles.walk(process)
+                                       if activity.kind in config.join_point_kinds) if vv > reference_value)
+            assert actual == expected == (ReferenceTooSmall, f"variability value {first} exceeds reference value "
+                                                             f"{reference_value}")
+            raised += 1
+            continue
+        assert actual.root == expected
+        for color in (False, True):
+            assert render_text(actual, process, color) == oracles.render_text(actual, process, color)
+        rendered += 1
+    assert rendered > 25
+    assert raised > 0 if count_mode == "set" and reference_value < 3 else raised == 0
 
 
 def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[VariabilitySlot]:

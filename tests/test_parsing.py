@@ -15,6 +15,7 @@ from adaptmeter import (
     SelectorSyntax,
     StructuralError,
     UnsupportedElement,
+    load_aspects,
     parse_aspect,
     parse_process,
     serialize_process,
@@ -293,6 +294,43 @@ class TestParseAspect:
     def test_wrong_root_rejected(self):
         with pytest.raises(StructuralError):
             parse_aspect(MINIMAL_PROCESS)
+
+
+class TestLoadAspects:
+    GOOD = _aspect_doc('<pointcut>//invoke</pointcut><advice type="before"><invoke/></advice>')
+
+    def test_directory_scan(self, tmp_path):
+        (tmp_path / "b.xml").write_text(self.GOOD.replace('name="A"', 'name="B"'))
+        (tmp_path / "a.xml").write_text(self.GOOD)
+        (tmp_path / "notes.txt").write_text(self.GOOD)
+        (tmp_path / "process.xml").write_text(MINIMAL_PROCESS)
+        (tmp_path / "broken.xml").write_text("<aspect name='x'>")
+        (tmp_path / "latin.xml").write_bytes(b"<aspect name='\xe9'/>")
+        (tmp_path / "dir.xml").mkdir()
+        (tmp_path / "dir.xml" / "c.xml").write_text(self.GOOD.replace('name="A"', 'name="C"'))
+        aspects, notes = load_aspects([str(tmp_path)])
+        assert [aspect.name for aspect in aspects] == ["A", "B"]
+        broken, latin = tmp_path / "broken.xml", tmp_path / "latin.xml"
+        assert notes == [f"skipping {broken}: no element found: line 1, column 17",
+                         f"skipping {latin}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+                         "invalid continuation byte"]
+
+    def test_directly_named_files_must_parse(self, tmp_path):
+        named = tmp_path / "named.xml"
+        named.write_text(self.GOOD)
+        assert load_aspects([named, named]) == ([parse_aspect(self.GOOD)] * 2, [])
+        for text, error in ((MINIMAL_PROCESS, StructuralError), ("<aspect", MalformedXml)):
+            named.write_text(text)
+            with pytest.raises(error) as excinfo:
+                load_aspects([named])
+            assert excinfo.value.source == str(named)
+
+    def test_scanned_file_errors_name_their_file(self, tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_text(_aspect_doc('<advice type="before"><invoke/></advice>'))
+        with pytest.raises(MissingPointcut) as excinfo:
+            load_aspects([tmp_path])
+        assert (excinfo.value.source, excinfo.value.line) == (str(bad), 1)
 
 
 class TestSerializeProcess:
