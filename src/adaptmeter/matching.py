@@ -152,9 +152,15 @@ def bind_aspects(
     advice type. Disabled aspects are skipped unless the config says
     otherwise; matches on non-join-point activities become warnings.
     """
-    # Matches are the index's own paths, so identity finds each one's pre-order rank.
+    # Matches are the index's own paths, so identity finds each one's
+    # pre-order rank; an equal path that is not one of them is found by value.
     index = process.index
     rank_of = dict(zip(map(id, index.paths), range(len(index.paths))))
+
+    def rank(path: ActivityPath) -> int:
+        found = rank_of.get(id(path))
+        return index.paths.index(path) if found is None else found
+
     bindings: list[JoinPointBinding] = []
     warnings: list[str] = []
     for aspect in aspects:
@@ -173,4 +179,4 @@ def bind_aspects(
                         f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
                         f"match at {path} is not a join point (<{path.kind}>); skipped"
                     )
-    return VariabilityProfile._from_bindings(bindings, lambda path: rank_of[id(path)], tuple(warnings))
+    return VariabilityProfile._from_bindings(bindings, rank, tuple(warnings))

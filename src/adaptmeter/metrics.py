@@ -32,7 +32,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
-from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
+from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
 from .model import Record, _set
 
 if TYPE_CHECKING:
@@ -123,8 +123,7 @@ def _divisors(index: ProcessIndex, config: AnalysisConfig) -> list[int]:
     eligible ones: join points, and structured children with a join
     point below them. Basic ranks get n = 0.
     """
-    kinds = config.join_point_kinds
-    eligible = [activity.kind in kinds for activity in index.activities]
+    eligible = [is_join_point(activity, config) for activity in index.activities]
     divisors = [0] * len(eligible)
     for rank in range(len(eligible) - 1, 0, -1):
         parent = index.parents[rank]
@@ -149,12 +148,12 @@ def process_adaptability(
     # Join points are scored in pre-order, so ReferenceTooSmall reports
     # the first offending one in document order.
     for rank, (path, activity) in enumerate(zip(index.paths, index.activities)):
-        if activity.kind in config.join_point_kinds:
+        if is_join_point(activity, config):
             vv = variability_value(profile, path, config)
             vd = degrees[vv] if vv <= reference else variability_degree(vv, reference)  # the latter raises
             nodes[rank] = NodeVD(path, activity.kind, vd, vv)
             nums[rank], dens[rank] = vv, reference
-        elif activity.kind in BASIC_KINDS:
+        elif activity.is_basic:
             nodes[rank] = NodeVD(path, activity.kind, degrees[0])
     divisors = _divisors(index, config)
     for rank in range(size - 1, -1, -1):

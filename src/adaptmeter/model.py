@@ -257,8 +257,7 @@ class ProcessIndex(Record):
         # Descendants outrank their ancestors, so sweeping ranks downwards
         # closes every subtree before it extends its parent's.
         for rank in range(len(activities) - 1, 0, -1):
-            if ends[parents[rank]] < ends[rank]:
-                ends[parents[rank]] = ends[rank]
+            ends[parents[rank]] = max(ends[parents[rank]], ends[rank])
         kinds = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
         return cls(tuple(paths), tuple(activities), tuple(parents), tuple(ends), kinds)
 

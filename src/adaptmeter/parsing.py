@@ -62,6 +62,13 @@ def _wrap_error(tag: str, line: int, found: int) -> StructuralError:
 # Roles up to _ROOT hold activities; a _WRAPPER (a switch/pick branch or
 # an <advice>) must hold exactly one.
 _ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT = range(8)
+# An open element's frame is a list with these slots. _NAME holds its name
+# attribute and _ATTRS its other attributes, but an aspect's _ATTRS holds
+# its enabled flag. _KIDS collects its content: activities, section
+# entries, pointcuts or a pointcut's text. _MORE collects a branching
+# activity's branch labels, a process's root-activity lines or an
+# aspect's advices.
+_ROLE, _TAG, _LINE, _NAME, _ATTRS, _KIDS, _MORE = range(7)
 _SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
 _BRANCHES = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
 _DRAINED = (None,)  # the frame of an element read after the first error
@@ -84,13 +91,9 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
     if root_tag == "aspect":
         from .selectors import parse_selector
     parser = expat.ParserCreate()
-    # An open element's frame: [role, tag, line, name, attributes, children, labels].
     stack: list = [[_DOCUMENT, None, 0, None, None, [], None]]
-    sections = {tag: (entry, []) for tag, entry in _SECTIONS.items()}
+    sections = {tag: [] for tag in _SECTIONS}
     skip = 0  # open elements inside opaque content: basic activities, declarations, pointcut children
-    # Without ':' and 'xmlns' a text has no prefixed names and no namespace
-    # declarations, so expat's names are already local ones.
-    plain = ":" not in text and "xmlns" not in text
     error: AdaptMeterError | None = None
     result = None
 
@@ -98,67 +101,65 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         nonlocal error
         error = exc
         for frame in stack:
-            if frame[0] == _WRAPPER:
-                frame[5].append(None)  # its child that failed or holds the failure
+            if frame[_ROLE] == _WRAPPER:
+                frame[_KIDS].append(None)  # its child that failed or holds the failure
         if opened:  # a start tag failed, so its element is open
             stack.append(_DRAINED)
         parser.StartElementHandler, parser.EndElementHandler = drained_start, drained_end
         parser.CharacterDataHandler = None
 
     def drained_start(tag: str, attrs: dict[str, str]) -> None:
-        if stack[-1][0] == _WRAPPER:
-            stack[-1][5].append(None)
+        if stack[-1][_ROLE] == _WRAPPER:
+            stack[-1][_KIDS].append(None)
         stack.append(_DRAINED)
 
     def drained_end(tag: str) -> None:
         nonlocal error
         frame = stack.pop()
-        if frame[0] == _WRAPPER and len(frame[5]) != 1:
-            error = _wrap_error(frame[1], frame[2], len(frame[5]))
+        if frame[_ROLE] == _WRAPPER and len(frame[_KIDS]) != 1:
+            error = _wrap_error(frame[_TAG], frame[_LINE], len(frame[_KIDS]))
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal skip
         if skip:
             skip += 1
             return
-        if not plain:
-            tag = tag.rpartition(":")[2]
-            if attrs:
-                attrs = {key.rpartition(":")[2]: value for key, value in attrs.items()
-                         if key != "xmlns" and not key.startswith("xmlns:")}
+        tag = tag.rpartition(":")[2]
+        if attrs:
+            attrs = {key.rpartition(":")[2]: value for key, value in attrs.items()
+                     if key != "xmlns" and not key.startswith("xmlns:")}
         parent = stack[-1]
-        role = parent[0]
+        role = parent[_ROLE]
         try:
             if role == _ROOT and tag not in _SECTIONS:
                 if tag not in ACTIVITY_KINDS:
                     raise UnsupportedElement(f"unsupported element <{tag}> in <process>", line=parser.CurrentLineNumber)
-                parent[6].append(parser.CurrentLineNumber)
+                parent[_MORE].append(parser.CurrentLineNumber)
             elif role >= _ROOT:
                 line = parser.CurrentLineNumber
                 if role <= _ASPECT and tag in _SECTIONS:
-                    entry, entries = sections[tag]
-                    stack.append([_SECTION, tag, line, entry, None, entries, None])
+                    stack.append([_SECTION, tag, line, None, None, sections[tag], None])
                 elif role == _ASPECT and tag == "pointcut":
-                    name = attrs.get("name") or f"pointcut{len(parent[5]) + 1}"
+                    name = attrs.get("name") or f"pointcut{len(parent[_KIDS]) + 1}"
                     stack.append([_POINTCUT, tag, line, name, None, [], None])
-                    parser.CharacterDataHandler = stack[-1][5].append
+                    parser.CharacterDataHandler = stack[-1][_KIDS].append
                 elif role == _ASPECT:
                     if tag != "advice":
                         raise UnsupportedElement(f"unsupported element <{tag}> in <aspect>", line=line)
                     if attrs.get("type", "") not in ADVICE_TYPES:
                         raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, "
                                             f"got {attrs.get('type', '')!r}", line=line)
-                    stack.append([_WRAPPER, tag, line, attrs["type"], attrs, [], None])
+                    stack.append([_WRAPPER, tag, line, None, attrs, [], None])
                 elif role == _BRANCHING:
-                    allowed = _BRANCHES[parent[1]]
+                    allowed = _BRANCHES[parent[_TAG]]
                     if tag not in allowed:
-                        raise UnsupportedElement(f"<{parent[1]}> branches must be "
+                        raise UnsupportedElement(f"<{parent[_TAG]}> branches must be "
                                                  f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>", line=line)
                     stack.append([_WRAPPER, tag, line, None, attrs, [], None])
                 elif role == _SECTION:
-                    if tag != parent[3]:
-                        raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[1]}>", line=line)
-                    parent[5].append((attrs.pop("name", ""), attrs))
+                    if tag != _SECTIONS[parent[_TAG]]:
+                        raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[_TAG]}>", line=line)
+                    parent[_KIDS].append((attrs.pop("name", ""), attrs))
                     skip = 1
                 elif role == _POINTCUT:
                     parser.CharacterDataHandler = None
@@ -182,7 +183,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 return
             # an activity, in a structured activity, a wrapper or the process
             if tag in BASIC_KINDS:
-                parent[5].append(Activity(tag, attrs.pop("name", None), attrs))
+                parent[_KIDS].append(Activity(tag, attrs.pop("name", None), attrs))
                 skip = 1
             elif tag in STRUCTURED_KINDS:
                 role = _BRANCHING if tag in BRANCHING_KINDS else _ACTIVITY
@@ -196,32 +197,32 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         nonlocal skip, result
         if skip:
             skip -= 1
-            if not skip and stack[-1][0] == _POINTCUT:
-                parser.CharacterDataHandler = stack[-1][5].append
+            if not skip and stack[-1][_ROLE] == _POINTCUT:
+                parser.CharacterDataHandler = stack[-1][_KIDS].append
             return
-        role, tag, line, name, attributes, children, labels = stack.pop()
+        role, tag, line, name, attributes, children, more = stack.pop()
         parent = stack[-1]
         try:
             if role == _ACTIVITY or role == _BRANCHING:
                 try:
                     activity = Activity(tag, name, attributes, tuple(children),
-                                        tuple(labels) if role == _BRANCHING else None)
+                                        tuple(more) if role == _BRANCHING else None)
                 except StructuralError as exc:
                     exc.line = line
                     raise
-                parent[5].append(activity)
+                parent[_KIDS].append(activity)
             elif role == _WRAPPER:
                 if len(children) != 1:
                     raise _wrap_error(tag, line, len(children))
-                if parent[0] == _BRANCHING:
-                    parent[6].append(BranchLabel(tag, attributes))
-                    parent[5].append(children[0])
-                else:  # an <advice>, whose name slot holds its type
-                    parent[6].append((name, children[0]))
+                if parent[_ROLE] == _BRANCHING:
+                    parent[_MORE].append(BranchLabel(tag, attributes))
+                    parent[_KIDS].append(children[0])
+                else:  # an <advice>
+                    parent[_MORE].append((attributes["type"], children[0]))
             elif role == _POINTCUT:
                 parser.CharacterDataHandler = None
                 try:
-                    parent[5].append(Pointcut(name, parse_selector("".join(children))))
+                    parent[_KIDS].append(Pointcut(name, parse_selector("".join(children))))
                 except SelectorSyntax as exc:
                     raise SelectorSyntax(f"pointcut '{name}': {exc}", line=line) from exc
             elif role == _ROOT:
@@ -230,16 +231,16 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                                           line=line)
                 if children[0].kind not in STRUCTURED_KINDS:
                     raise StructuralError(f"process root activity must be structured, got <{children[0].kind}>",
-                                          line=labels[0])
-                result = ProcessModel(name, children[0], tuple(sections["partnerLinks"][1]),
-                                      tuple(sections["variables"][1]), attributes)
+                                          line=more[0])
+                result = ProcessModel(name, children[0], tuple(sections["partnerLinks"]), tuple(sections["variables"]),
+                                      attributes)
             elif role == _ASPECT:
                 if not children:
                     raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=line)
-                if len(labels) != 1:
-                    raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(labels)}",
+                if len(more) != 1:
+                    raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(more)}",
                                           line=line)
-                result = Aspect(name, tuple(children), labels[0][0], labels[0][1], attributes)
+                result = Aspect(name, tuple(children), more[0][0], more[0][1], attributes)  # the enabled flag
         except AdaptMeterError as exc:
             fail(exc, False)
 

@@ -15,7 +15,7 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
-    from .model import ActivityPath, ProcessModel
+    from .model import ProcessModel
     from .sweep import SweepResult
 
 SCHEMA_VERSION = "1"
@@ -32,9 +32,10 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
     return text
 
 
-def _node_label(path: ActivityPath, name: str | None) -> str:
-    kind, index = path.steps[-1]
-    label = f"{'  ' * (len(path.steps) - 1)}{kind}[{index}]"
+def _node_label(node: NodeVD, name: str | None) -> str:
+    indent = "  " * (node.path.depth - 1)
+    kind, index = node.path.steps[-1]
+    label = f"{indent}{kind}[{index}]"
     if name:
         label += f" '{name}'"
     return label
@@ -69,7 +70,7 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
         detail = details.get(key)
         if detail is None:
             detail = details[key] = _node_detail(node)
-        labels.append(_node_label(node.path, activity.name))
+        labels.append(_node_label(node, activity.name))
         rows.append(detail)
     width = max(map(len, labels)) + 2
     lines += [f"{label:<{width}}{detail}" for label, detail in zip(labels, rows)]

@@ -192,6 +192,19 @@ class TestBindAspects:
         keys = [(binding.path.order_key, binding.aspect_name) for binding in profile.bindings]
         assert keys == sorted(keys)
 
+    def test_matches_that_are_equal_copies_bind_in_the_same_order(
+        self, travel_process, travel_aspects, config, monkeypatch
+    ):
+        import adaptmeter.matching as matching
+
+        expected = bind_aspects(travel_process, travel_aspects, config)
+        original = matching.match_selector
+        copied = lambda selector, process: [ActivityPath(p.steps) for p in reversed(original(selector, process))]
+        monkeypatch.setattr(matching, "match_selector", copied)
+        profile = bind_aspects(travel_process, travel_aspects, config)
+        assert profile == expected
+        assert [binding.path for binding in profile.bindings] == [binding.path for binding in expected.bindings]
+
     def test_binding_soundness(self, travel_process, travel_aspects, config):
         profile = bind_aspects(travel_process, travel_aspects, config)
         selectors = {
