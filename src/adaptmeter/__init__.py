@@ -23,7 +23,6 @@ _EXPORTS = {
         "ReferenceTooSmall",
         "SelectorSyntax",
         "StructuralError",
-        "SweepLimitError",
         "UnsupportedElement",
     ),
     "matching": ("JoinPointBinding", "VariabilityProfile", "bind_aspects", "match_selector"),

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=42, metavar="S",
                        help="seed for the placement orders (default 42)")
     sweep.add_argument("--exhaustive", action="store_true",
-                       help="emit min/mean/max over every slot subset (small processes only)")
+                       help="emit min/mean/max over every slot subset")
     sweep.add_argument("--out", metavar="FILE", help="write CSV to FILE instead of standard output")
     _add_config_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -96,9 +96,11 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
-def _emit_warnings(messages, prefix: str = "") -> None:
-    for message in messages:
-        print(f"warning: {prefix}{message}", file=sys.stderr)
+def _emit_warnings(messages) -> None:
+    # One write: if a reader closed standard error between two lines, the
+    # exit status would depend on timing.
+    if messages:
+        sys.stderr.write("".join(f"warning: {message}\n" for message in messages))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -111,8 +113,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     aspects, notes = load_aspects(args.aspects)
     profile = bind_aspects(process, aspects, config)
     result = process_adaptability(process, profile, config)
-    _emit_warnings(notes)
-    _emit_warnings(result.warnings)
+    _emit_warnings([*notes, *result.warnings])
     report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
     # One write: a report and its newline written apart could meet a closed
     # pipe in between, and the exit status then depended on timing.
@@ -152,10 +153,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     right_aspects, right_notes = load_aspects(right_paths)
     left = process_adaptability(left_process, bind_aspects(left_process, left_aspects, config), config)
     right = process_adaptability(right_process, bind_aspects(right_process, right_aspects, config), config)
-    _emit_warnings(left_notes, "left: ")
-    _emit_warnings(left.warnings, "left: ")
-    _emit_warnings(right_notes, "right: ")
-    _emit_warnings(right.warnings, "right: ")
+    _emit_warnings([f"left: {message}" for message in (*left_notes, *left.warnings)]
+                   + [f"right: {message}" for message in (*right_notes, *right.warnings)])
     if args.format == "json":
         report = render_compare_json(left, right, args.process_a, args.process_b)
     else:

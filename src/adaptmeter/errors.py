@@ -52,7 +52,3 @@ class NotAJoinPoint(AdaptMeterError):
 
 class ReferenceTooSmall(AdaptMeterError):
     """Observed variability value exceeds the configured reference value."""
-
-
-class SweepLimitError(AdaptMeterError):
-    """Exhaustive sweep requested on a process with too many slots."""

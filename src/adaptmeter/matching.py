@@ -10,7 +10,7 @@ nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -101,35 +101,37 @@ def _predicates_hold(predicates: Sequence[tuple[str, str]], target: Activity | P
 
 
 def _within(ranks: Sequence[int], contexts: Sequence[int], ends: Sequence[int]) -> list[int]:
-    """The ranks that lie in some context's subtree; both lists ascending."""
+    """The ranks that are proper descendants of some context; both lists ascending."""
     # Subtrees nest or are disjoint, so the outermost contexts cover the
-    # rest: their rank ranges are disjoint and sorted.
+    # rest: their rank ranges are disjoint and sorted. A rank that is an
+    # inner context lies strictly inside an outer one.
     starts: list[int] = []
     stops: list[int] = []
     for context in contexts:
         if not stops or context >= stops[-1]:
             starts.append(context)
             stops.append(ends[context])
-    return [rank for rank in ranks if (i := bisect_right(starts, rank)) and rank < stops[i - 1]]
+    return [rank for rank in ranks if (i := bisect_left(starts, rank)) and rank < stops[i - 1]]
 
 
 def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
     """All activities reached by the selector, in pre-order.
 
-    Each step is a descendant-or-self search from the previous step's
-    matches; the first step searches from the document root, which a
-    ``process`` step may match itself. A final match on the document
-    root has no activity path and is dropped from the result.
+    Each step searches the proper descendants of the previous step's
+    matches, as XPath's ``//`` does. The first step searches the whole
+    document, so only it may match the <process> element itself; a final
+    match there has no activity path and is dropped from the result.
 
     A step's first predicate picks its candidates from the index's
     postings (`ProcessIndex.ranks_with`) and only the rest are tested on
     them; a step without predicates takes every rank of its kind.
     """
     index = process.index
-    # The document root (the <process> element) contains every activity.
+    # While the contexts hold the document or its <process> element, they
+    # contain every activity.
     at_root = True
     ranks: Sequence[int] = ()
-    for step in selector.steps:
+    for position, step in enumerate(selector.steps):
         found = index.by_kind.get(step.element, ())
         if step.predicates:
             (attribute, value), *rest = step.predicates
@@ -137,7 +139,7 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
             if rest:
                 found = [rank for rank in found if _predicates_hold(rest, index.activities[rank])]
         ranks = found if at_root else _within(found, ranks, index.ends)
-        at_root = at_root and step.element == "process" and _predicates_hold(step.predicates, process)
+        at_root = position == 0 and step.element == "process" and _predicates_hold(step.predicates, process)
         if not ranks and not at_root:
             break
     return [index.paths[rank] for rank in ranks]

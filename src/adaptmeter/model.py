@@ -25,18 +25,16 @@ BASIC_KINDS = frozenset({"receive", "invoke", "reply", "assign"})
 STRUCTURED_KINDS = frozenset({"sequence", "switch", "pick", "flow", "while"})
 ACTIVITY_KINDS = BASIC_KINDS | STRUCTURED_KINDS
 
-# Structured kinds whose children are alternative branches rather than
-# co-executed members.
-BRANCHING_KINDS = frozenset({"switch", "pick"})
+# The structured kinds whose children are alternative branches rather
+# than co-executed members, and the elements that may wrap each branch.
+BRANCH_ELEMENTS = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
+BRANCHING_KINDS = frozenset(BRANCH_ELEMENTS)
 
 # Canonical advice-type order, used everywhere sets of advice types are
 # counted, enumerated, or displayed.
 ADVICE_TYPES = ("before", "around", "after")
 
 DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
-
-_SWITCH_BRANCH_ELEMENTS = frozenset({"case", "otherwise"})
-_PICK_BRANCH_ELEMENTS = frozenset({"onMessage", "onAlarm"})
 
 
 # Sets a record field from ``__init__``, past Record.__setattr__.
@@ -129,9 +127,8 @@ class Activity(Record):
             labels = branch_labels or ()
             if len(labels) != len(children):
                 raise StructuralError(f"<{kind}> requires one branch label per child")
-            allowed = _SWITCH_BRANCH_ELEMENTS if kind == "switch" else _PICK_BRANCH_ELEMENTS
             for label in labels:
-                if label.element not in allowed:
+                if label.element not in BRANCH_ELEMENTS[kind]:
                     raise StructuralError(f"<{label.element}> is not a valid <{kind}> branch")
             if kind == "switch":
                 if sum(1 for label in labels if label.element == "otherwise") > 1:

@@ -14,7 +14,7 @@ from xml.parsers import expat
 
 from .errors import AdaptMeterError, BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError
 from .errors import UnsupportedElement
-from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, BRANCHING_KINDS, STRUCTURED_KINDS, Activity, BranchLabel
+from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, BRANCH_ELEMENTS, STRUCTURED_KINDS, Activity, BranchLabel
 from .model import ProcessModel, Record, _set
 
 if TYPE_CHECKING:
@@ -70,8 +70,11 @@ _ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT 
 # aspect's advices.
 _ROLE, _TAG, _LINE, _NAME, _ATTRS, _KIDS, _MORE = range(7)
 _SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
-_BRANCHES = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
 _DRAINED = (None,)  # the frame of an element read after the first error
+# The deepest element nesting a document may have, its root element being
+# at depth 1; opaque content is not counted. A report grows with the sum of
+# its nodes' depths, so a chain N deep would cost O(N^2) time and memory.
+MAX_NESTING = 2000
 
 
 def _build(text: str, root_tag: str, other_roots: bool = False):
@@ -131,6 +134,8 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         parent = stack[-1]
         role = parent[_ROLE]
         try:
+            if len(stack) > MAX_NESTING:  # the stack holds the document and every open element
+                raise StructuralError(f"nesting deeper than {MAX_NESTING}", line=parser.CurrentLineNumber)
             if role == _ROOT and tag not in _SECTIONS:
                 if tag not in ACTIVITY_KINDS:
                     raise UnsupportedElement(f"unsupported element <{tag}> in <process>", line=parser.CurrentLineNumber)
@@ -151,7 +156,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                                             f"got {attrs.get('type', '')!r}", line=line)
                     stack.append([_WRAPPER, tag, line, None, attrs, [], None])
                 elif role == _BRANCHING:
-                    allowed = _BRANCHES[parent[_TAG]]
+                    allowed = BRANCH_ELEMENTS[parent[_TAG]]
                     if tag not in allowed:
                         raise UnsupportedElement(f"<{parent[_TAG]}> branches must be "
                                                  f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>", line=line)
@@ -186,7 +191,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 parent[_KIDS].append(Activity(tag, attrs.pop("name", None), attrs))
                 skip = 1
             elif tag in STRUCTURED_KINDS:
-                role = _BRANCHING if tag in BRANCHING_KINDS else _ACTIVITY
+                role = _BRANCHING if tag in BRANCH_ELEMENTS else _ACTIVITY
                 stack.append([role, tag, parser.CurrentLineNumber, attrs.pop("name", None), attrs, [], []])
             else:
                 raise UnsupportedElement(f"<{tag}> is not a supported activity", line=parser.CurrentLineNumber)

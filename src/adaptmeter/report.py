@@ -119,6 +119,9 @@ def _join_point_vds(result: MetricsResult) -> dict[str, tuple[Fraction, tuple]]:
 
 
 def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
+    """One JSON-ready row per join point of either side, in pre-order: its path,
+    then the left and right VDs and their exact difference as floats, each
+    None where a side lacks the join point."""
     left_vds = _join_point_vds(left)
     right_vds = _join_point_vds(right)
     keys = {**left_vds, **right_vds}
@@ -127,8 +130,16 @@ def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
         left_vd = left_vds.get(path, (None,))[0]
         right_vd = right_vds.get(path, (None,))[0]
         delta = right_vd - left_vd if left_vd is not None and right_vd is not None else None
-        rows.append({"path": path, "left_vd": left_vd, "right_vd": right_vd, "delta": delta})
+        rows.append({"path": path, "left_vd": _float(left_vd), "right_vd": _float(right_vd), "delta": _float(delta)})
     return rows
+
+
+def _float(value: Fraction | None) -> float | None:
+    return None if value is None else float(value)
+
+
+def _cell(value: float | None, spec: str = ".4f") -> str:
+    return "-" if value is None else format(value, spec)
 
 
 def render_compare_text(
@@ -149,10 +160,8 @@ def render_compare_text(
         width = max(len(row["path"]) for row in rows) + 2
         lines.append(f"{'join point':<{width}}{'left':<10}{'right':<10}delta")
         for row in rows:
-            left_text = f"{float(row['left_vd']):.4f}" if row["left_vd"] is not None else "-"
-            right_text = f"{float(row['right_vd']):.4f}" if row["right_vd"] is not None else "-"
-            delta_text = f"{float(row['delta']):+.4f}" if row["delta"] is not None else "-"
-            lines.append(f"{row['path']:<{width}}{left_text:<10}{right_text:<10}{delta_text}")
+            lines.append(f"{row['path']:<{width}}{_cell(row['left_vd']):<10}{_cell(row['right_vd']):<10}"
+                         f"{_cell(row['delta'], '+.4f')}")
     return "\n".join(lines)
 
 
@@ -178,15 +187,7 @@ def render_compare_json(
         "right": side(right, right_source),
         "delta": float(delta),
         "delta_exact": str(delta),
-        "join_points": [
-            {
-                "path": row["path"],
-                "left_vd": float(row["left_vd"]) if row["left_vd"] is not None else None,
-                "right_vd": float(row["right_vd"]) if row["right_vd"] is not None else None,
-                "delta": float(row["delta"]) if row["delta"] is not None else None,
-            }
-            for row in _compare_rows(left, right)
-        ],
+        "join_points": _compare_rows(left, right),
     }
     return json.dumps(payload, indent=2)
 

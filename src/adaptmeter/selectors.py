@@ -21,6 +21,7 @@ from .errors import SelectorSyntax
 from .model import ACTIVITY_KINDS, Record, _set
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_SPACE_RE = re.compile(r"\s*")  # \s matches what str.isspace does
 
 
 class SelectorStep(Record):
@@ -41,85 +42,54 @@ class PointcutSelector(Record):
         return render_selector(self)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect_name(self, what: str) -> str:
-        match = _NAME_RE.match(self.text, self.pos)
-        if match is None:
-            raise SelectorSyntax(f"expected {what} at position {self.pos} in {self.text!r}")
-        self.pos = match.end()
-        return match.group(0)
-
-    def expect_quoted(self) -> str:
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            raise SelectorSyntax(f"expected quoted value at position {self.pos} in {self.text!r}")
-        end = self.text.find(quote, self.pos + 1)
-        if end < 0:
-            raise SelectorSyntax(f"unterminated string at position {self.pos} in {self.text!r}")
-        value = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        return value
-
-
-def _parse_predicates(scanner: _Scanner) -> tuple[tuple[str, str], ...]:
-    predicates: list[tuple[str, str]] = []
-    while scanner.peek() == "[":
-        scanner.take("[")
-        while True:
-            scanner.skip_ws()
-            if not scanner.take("@"):
-                raise SelectorSyntax(
-                    f"only attribute-equality predicates are supported, at position {scanner.pos} in {scanner.text!r}"
-                )
-            attribute = scanner.expect_name("attribute name")
-            scanner.skip_ws()
-            if not scanner.take("="):
-                raise SelectorSyntax(f"expected '=' after @{attribute} in {scanner.text!r}")
-            scanner.skip_ws()
-            value = scanner.expect_quoted()
-            predicates.append((attribute, value))
-            scanner.skip_ws()
-            if scanner.take("]"):
-                break
-            if scanner.take("and"):
-                continue
-            raise SelectorSyntax(f"expected ']' or 'and' at position {scanner.pos} in {scanner.text!r}")
-    return tuple(predicates)
+def _name(text: str, pos: int, what: str) -> tuple[str, int]:
+    match = _NAME_RE.match(text, pos)
+    if match is None:
+        raise SelectorSyntax(f"expected {what} at position {pos} in {text!r}")
+    return match.group(), match.end()
 
 
 def parse_selector(text: str) -> PointcutSelector:
     """Parse selector text into structured steps."""
-    scanner = _Scanner(text)
-    steps: list[SelectorStep] = []
-    scanner.skip_ws()
-    if scanner.at_end():
+    skip = _SPACE_RE.match  # skip(text, pos).end() is pos past any whitespace
+    pos = skip(text).end()
+    if pos == len(text):
         raise SelectorSyntax("empty selector")
-    while not scanner.at_end():
-        if not scanner.take("//"):
-            raise SelectorSyntax(f"expected descendant axis '//' at position {scanner.pos} in {text!r}")
-        element = scanner.expect_name("element name")
-        steps.append(SelectorStep(element, _parse_predicates(scanner)))
-        scanner.skip_ws()
+    steps = []
+    while pos < len(text):
+        if not text.startswith("//", pos):
+            raise SelectorSyntax(f"expected descendant axis '//' at position {pos} in {text!r}")
+        element, pos = _name(text, pos + 2, "element name")
+        predicates = []
+        while text.startswith("[", pos):
+            pos += 1
+            while True:  # one @attribute="value" per turn, after "[" or "and"
+                pos = skip(text, pos).end()
+                if not text.startswith("@", pos):
+                    raise SelectorSyntax(
+                        f"only attribute-equality predicates are supported, at position {pos} in {text!r}"
+                    )
+                attribute, pos = _name(text, pos + 1, "attribute name")
+                pos = skip(text, pos).end()
+                if not text.startswith("=", pos):
+                    raise SelectorSyntax(f"expected '=' after @{attribute} in {text!r}")
+                pos = skip(text, pos + 1).end()
+                quote = text[pos : pos + 1]
+                if quote not in ("'", '"'):
+                    raise SelectorSyntax(f"expected quoted value at position {pos} in {text!r}")
+                end = text.find(quote, pos + 1)
+                if end < 0:
+                    raise SelectorSyntax(f"unterminated string at position {pos} in {text!r}")
+                predicates.append((attribute, text[pos + 1 : end]))
+                pos = skip(text, end + 1).end()
+                if text.startswith("]", pos):
+                    break
+                if not text.startswith("and", pos):
+                    raise SelectorSyntax(f"expected ']' or 'and' at position {pos} in {text!r}")
+                pos += 3
+            pos += 1
+        steps.append(SelectorStep(element, tuple(predicates)))
+        pos = skip(text, pos).end()
     first = steps[0].element
     if first != "process" and first not in ACTIVITY_KINDS:
         raise SelectorSyntax(f"selector must start at //process or an activity kind, got //{first}")

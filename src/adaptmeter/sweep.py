@@ -7,7 +7,7 @@ producing a monotone series from the empty profile to saturation.
 `run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
 reports the min/mean/max envelope over every subset of slots per count.
 It folds in one join point at a time instead of enumerating the subsets,
-and keeps a slot limit for small processes.
+so its cost is polynomial in the slot count.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SweepLimitError
 from .metrics import join_point_weights, variability_degree
 from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, find_join_points
-
-EXHAUSTIVE_SLOT_LIMIT = 12
 
 
 class VariabilitySlot(Record):
@@ -143,11 +140,6 @@ def exhaustive_sweep(
     """
     weights = join_point_weights(process, config)
     per_join_point = len(ADVICE_TYPES)
-    slot_count = per_join_point * len(weights)
-    if slot_count > EXHAUSTIVE_SLOT_LIMIT:
-        raise SweepLimitError(
-            f"process has {slot_count} slots; exhaustive mode handles at most {EXHAUSTIVE_SLOT_LIMIT}"
-        )
     reference = config.reference_value
     clamp = config.count_mode == "raw-clamped"
     envelope = [(Fraction(0), Fraction(0), Fraction(0), 1)]  # (min, max, sum, number) per count

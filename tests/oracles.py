@@ -7,6 +7,7 @@ index. They are slow on purpose and easy to check by hand.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from xml.parsers import expat
 
@@ -40,6 +41,7 @@ from adaptmeter import (
 BRANCHING = ("switch", "pick")
 BRANCHING_KINDS = frozenset(BRANCHING)
 ACTIVITY_KINDS = BASIC_KINDS | STRUCTURED_KINDS
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 
 def walk(process: ProcessModel):
@@ -113,20 +115,106 @@ def _step_holds(step: SelectorStep, kind: str, name, attributes) -> bool:
 
 
 def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
-    """Descendant-or-self location steps by rescanning the tree per context."""
+    """Proper-descendant location steps by rescanning the tree per context."""
     nodes = list(walk(process))
-    contexts: list[ActivityPath | None] = [None]  # None is the <process> element
-    for step in selector.steps:
+    # None is the document before the first step and the <process> element after it.
+    contexts: list[ActivityPath | None] = [None]
+    for position, step in enumerate(selector.steps):
         matched: dict[ActivityPath | None, None] = {}
         for context in contexts:
-            if context is None and _step_holds(step, "process", process.name, process.attributes):
+            if context is None and position == 0 and _step_holds(step, "process", process.name, process.attributes):
                 matched.setdefault(None)
             for path, activity in nodes:
-                inside = context is None or path == context or is_ancestor_of(context, path)
+                inside = context is None or is_ancestor_of(context, path)
                 if inside and _step_holds(step, activity.kind, activity.name, activity.attributes):
                     matched.setdefault(path)
         contexts = list(matched)
     return sorted((path for path in contexts if path is not None), key=lambda p: p.order_key)
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, literal: str) -> bool:
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect_name(self, what: str) -> str:
+        match = _NAME_RE.match(self.text, self.pos)
+        if match is None:
+            raise SelectorSyntax(f"expected {what} at position {self.pos} in {self.text!r}")
+        self.pos = match.end()
+        return match.group(0)
+
+    def expect_quoted(self) -> str:
+        quote = self.peek()
+        if quote not in ("'", '"'):
+            raise SelectorSyntax(f"expected quoted value at position {self.pos} in {self.text!r}")
+        end = self.text.find(quote, self.pos + 1)
+        if end < 0:
+            raise SelectorSyntax(f"unterminated string at position {self.pos} in {self.text!r}")
+        value = self.text[self.pos + 1 : end]
+        self.pos = end + 1
+        return value
+
+
+def _parse_predicates(scanner: _Scanner) -> tuple[tuple[str, str], ...]:
+    predicates: list[tuple[str, str]] = []
+    while scanner.peek() == "[":
+        scanner.take("[")
+        while True:
+            scanner.skip_ws()
+            if not scanner.take("@"):
+                raise SelectorSyntax(
+                    f"only attribute-equality predicates are supported, at position {scanner.pos} in {scanner.text!r}"
+                )
+            attribute = scanner.expect_name("attribute name")
+            scanner.skip_ws()
+            if not scanner.take("="):
+                raise SelectorSyntax(f"expected '=' after @{attribute} in {scanner.text!r}")
+            scanner.skip_ws()
+            value = scanner.expect_quoted()
+            predicates.append((attribute, value))
+            scanner.skip_ws()
+            if scanner.take("]"):
+                break
+            if scanner.take("and"):
+                continue
+            raise SelectorSyntax(f"expected ']' or 'and' at position {scanner.pos} in {scanner.text!r}")
+    return tuple(predicates)
+
+
+def parse_selector_scanning(text: str) -> PointcutSelector:
+    """The selector parser as a character scanner object, the form the library's one loop replaced."""
+    scanner = _Scanner(text)
+    steps: list[SelectorStep] = []
+    scanner.skip_ws()
+    if scanner.at_end():
+        raise SelectorSyntax("empty selector")
+    while not scanner.at_end():
+        if not scanner.take("//"):
+            raise SelectorSyntax(f"expected descendant axis '//' at position {scanner.pos} in {text!r}")
+        element = scanner.expect_name("element name")
+        steps.append(SelectorStep(element, _parse_predicates(scanner)))
+        scanner.skip_ws()
+    first = steps[0].element
+    if first != "process" and first not in ACTIVITY_KINDS:
+        raise SelectorSyntax(f"selector must start at //process or an activity kind, got //{first}")
+    return PointcutSelector(tuple(steps))
 
 
 def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[tuple[int, Fraction]]:

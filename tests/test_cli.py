@@ -230,6 +230,20 @@ class TestAnalyze:
         assert code == 0, err
         assert "PAM = 0.0000" in out
 
+    def test_nesting_limit_exits_1_with_bounded_memory(self, tmp_path):
+        deep = tmp_path / "deep.bpel"
+        deep.write_text(f'<process name="deep">{"<sequence>" * 10**5}<invoke/>{"</sequence>" * 10**5}</process>')
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        with subprocess.Popen([sys.executable, "-m", "adaptmeter", "analyze", str(deep)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            _, status, usage = os.wait4(child.pid, 0)  # the child's own peak memory
+            child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen does not wait
+            out, err = child.stdout.read(), child.stderr.read()
+        assert child.returncode == 1
+        assert out == b""
+        assert err.decode() == f"error: {deep}:1: nesting deeper than 2000\n"
+        assert usage.ru_maxrss < 100 * 1024  # kilobytes
+
     def test_include_disabled_flag(self, tmp_path, capsys):
         aspect = tmp_path / "off.xml"
         aspect.write_text(
@@ -279,11 +293,14 @@ class TestSweepCommand:
             _, low, mean, high = line.split(",")
             assert float(low) <= float(mean) <= float(high)
 
-    def test_exhaustive_rejects_large_processes(self, capsys):
+    def test_exhaustive_travel_fixture_has_no_slot_limit(self, capsys):
         code, out, err = run_cli(capsys, "sweep", TRAVEL, "--exhaustive")
-        assert code == 1
-        assert out == ""
-        assert "15 slots" in err
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1 + 16
+        assert lines[1] == "0,0.000000,0.000000,0.000000"
+        assert lines[-1] == "15,1.000000,1.000000,1.000000"
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "series.csv"
@@ -435,7 +452,7 @@ class TestStartup:
             "import adaptmeter\n"
             "namespace = {}\n"
             "exec('from adaptmeter import *', namespace)\n"
-            "assert len(adaptmeter.__all__) == 51\n"
+            "assert len(adaptmeter.__all__) == 50\n"
             "for name in adaptmeter.__all__:\n"
             "    assert namespace[name] is getattr(adaptmeter, name), name\n"
             "assert not hasattr(adaptmeter, 'no_such_name')\n"
@@ -472,7 +489,7 @@ class TestStartup:
         assert gc.get_freeze_count() == before
 
 
-class _RecordingStdout(io.StringIO):
+class _RecordingStream(io.StringIO):
     def __init__(self):
         super().__init__()
         self.writes: list[str] = []
@@ -490,11 +507,39 @@ class _RecordingStdout(io.StringIO):
 ])
 def test_each_report_reaches_stdout_in_one_write(monkeypatch, argv):
     # A report and its newline written apart could meet a closed pipe in between.
-    stdout = _RecordingStdout()
+    stdout = _RecordingStream()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv) == 0
     assert stdout.writes == [stdout.getvalue()]
     assert stdout.getvalue().endswith("}\n" if "json" in argv else "\n")
+
+
+def test_each_call_writes_its_warnings_in_one_write(monkeypatch, tmp_path):
+    # A reader that closed stderr after the first of several writes made
+    # the exit status depend on timing.
+    (tmp_path / "assign.xml").write_text(
+        '<aspect name="Assign"><pointcut>//assign</pointcut><advice type="after"><invoke/></advice></aspect>'
+    )
+    (tmp_path / "bad.xml").write_bytes(b"<aspect name='\xff'/>")
+    (tmp_path / "none.xml").write_text(
+        '<aspect name="None"><pointcut>//reply[@name="x"]</pointcut><advice type="before"><invoke/></advice></aspect>'
+    )
+    stderr = _RecordingStream()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["analyze", LINEAR, "--aspects", str(tmp_path)]) == 0
+    assert stderr.writes == [stderr.getvalue()]
+    lines = stderr.getvalue().splitlines()
+    assert lines[0].startswith(f"warning: skipping {tmp_path / 'bad.xml'}: not UTF-8 text")
+    assert [line.split("'")[1] for line in lines[1:]] == ["Assign", "Assign", "None"]
+
+    compared = _RecordingStream()
+    monkeypatch.setattr(sys, "stderr", compared)
+    assert main(["compare", LINEAR, LINEAR, "--aspects", str(tmp_path)]) == 0
+    assert compared.writes == [compared.getvalue()]
+    assert compared.getvalue().splitlines() == [
+        line.replace("warning: ", f"warning: {side}: ", 1) for side in ("left", "right") for line in lines
+    ]
 
 
 class TestColor:

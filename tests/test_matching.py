@@ -87,6 +87,19 @@ class TestMatchSelector:
             "/process/sequence[0]/invoke[3]",
         ]
 
+    def test_descendant_steps_exclude_the_context_itself(self, travel_process):
+        # XPath's // selects proper descendants, so a step cannot re-match its context
+        assert _paths("//invoke//invoke", travel_process) == []
+        assert _paths("//sequence//sequence", travel_process) == []
+        assert _paths("//switch//switch//invoke", travel_process) == []
+        assert _paths("//process//process//invoke", travel_process) == []
+
+    def test_nested_contexts_keep_their_inner_matches(self):
+        inner = Activity("sequence", "inner", children=(Activity("invoke"),))
+        process = ProcessModel("p", Activity("sequence", "outer", children=(inner, Activity("invoke"))))
+        assert _paths("//sequence//sequence", process) == ["/process/sequence[0]/sequence[0]"]
+        assert _paths("//sequence//sequence//invoke", process) == ["/process/sequence[0]/sequence[0]/invoke[0]"]
+
     def test_threads_sharing_one_process_agree_with_a_private_copy(self):
         # Big enough that a thread switch lands inside a postings table build.
         invokes = tuple(Activity("invoke", f"a{i % 7}", {"operation": f"op{i % 50}"}) for i in range(3000))

@@ -20,6 +20,7 @@ from adaptmeter import (
     parse_process,
     serialize_process,
 )
+from adaptmeter.parsing import MAX_NESTING
 from conftest import FIXTURES_DIR
 from randtrees import random_process
 
@@ -392,6 +393,39 @@ class TestSerializeProcess:
         assert lines[-2] == "  </sequence>"
         # Record equality recurses too, so compare the canonical text.
         assert serialize_process(parse_process(text)) == text
+
+
+def _chain(depth: int) -> str:
+    return f'{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}'
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("depth", [10**4, 10**5])
+    def test_deep_chains_are_refused_quickly(self, depth):
+        documents = (
+            (parse_process, f'<process name="deep">{_chain(depth)}</process>'),
+            (parse_aspect, _aspect_doc(f'<pointcut>//invoke</pointcut><advice type="before">{_chain(depth)}</advice>')),
+        )
+        for parse, doc in documents:
+            start = time.perf_counter()
+            with pytest.raises(StructuralError, match=f"^nesting deeper than {MAX_NESTING}$") as info:
+                parse(doc)
+            assert time.perf_counter() - start < 1.0
+            assert info.value.line == 1
+
+    def test_the_root_element_is_at_depth_one(self):
+        # process, then MAX_NESTING - 2 sequences, then the invoke
+        assert parse_process(f'<process name="p">{_chain(MAX_NESTING - 2)}</process>').name == "p"
+        with pytest.raises(StructuralError, match="nesting deeper than"):
+            parse_process(f'<process name="p">{_chain(MAX_NESTING - 1)}</process>')
+
+    def test_opaque_content_is_not_counted(self):
+        opaque = "<x>" * (2 * MAX_NESTING) + "</x>" * (2 * MAX_NESTING)
+        assert parse_process(f'<process name="p"><sequence><invoke>{opaque}</invoke></sequence></process>').name == "p"
+
+    def test_malformed_xml_still_outranks_the_limit(self):
+        with pytest.raises(MalformedXml):
+            parse_process(f'<process name="p">{_chain(10**4)}')
 
 
 def test_parsing_leaves_no_cyclic_garbage():

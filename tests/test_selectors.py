@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
+import oracles
 from adaptmeter import SelectorStep, SelectorSyntax, parse_selector, render_selector
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
@@ -87,3 +91,55 @@ class TestRenderSelector:
         rendered = render_selector(selector)
         assert "'say \"hi\"'" in rendered
         assert parse_selector(rendered) == selector
+
+
+# Pieces of selector text, valid and not: Unicode whitespace that
+# str.isspace accepts (and a zero-width space it does not), names with
+# the characters a name may hold after its first, and stray punctuation.
+_PIECES = ("//", "/", "[", "]", "@", "=", "and", "an", " ", "\t", "\n", "\x1c", "\xa0", "\u2003", "\u200b",
+           '"', "'", "invoke", "process", "partnerLink", "sequence", "op-1.x", "_n", "9", "(", ")", "*", "][")
+
+
+def _near_grammar(rng: random.Random) -> str:
+    """A selector in the grammar, then perhaps one character dropped, doubled or swapped for a piece."""
+
+    def space() -> str:
+        return rng.choice(("", "", " ", "\n  ", "\t", "\xa0"))
+
+    text = space()
+    for _ in range(rng.randint(1, 3)):
+        text += "//" + rng.choice(("process", "invoke", "sequence", "switch", "case", "x.y-z"))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            terms = []
+            for _ in range(rng.randint(1, 2)):
+                quote = rng.choice(("'", '"'))
+                value = rng.choice(("book", "a b", "say 'hi'", 'say "hi"', ""))
+                terms.append(f"{space()}@{rng.choice(('name', 'operation'))}{space()}={space()}{quote}{value}{quote}")
+            text += "[" + f"{space()}and".join(terms) + space() + "]"
+        text += space()
+    if text and rng.random() < 0.7:
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice(("", text[at] * 2, rng.choice(_PIECES))) + text[at + 1:]
+    return text
+
+
+def _parsed(parse, text: str):
+    """The selector, or the message of the SelectorSyntax raised instead."""
+    try:
+        return parse(text)
+    except SelectorSyntax as exc:
+        return str(exc)
+
+
+def test_parser_agrees_with_the_scanner_it_replaced():
+    rng = random.Random(20240)
+    texts = [_near_grammar(rng) for _ in range(12_000)]
+    texts += ["".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10))) for _ in range(12_000)]
+    start = time.perf_counter()
+    parsed = [_parsed(parse_selector, text) for text in texts]
+    elapsed = time.perf_counter() - start
+    for text, result in zip(texts, parsed):
+        assert result == _parsed(oracles.parse_selector_scanning, text), text
+    valid = sum(not isinstance(result, str) for result in parsed)
+    assert 2_000 < valid < 20_000  # both parsers see selectors and errors in number
+    assert elapsed < 1.0

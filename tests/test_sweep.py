@@ -11,9 +11,9 @@ import pytest
 from adaptmeter import (
     Activity,
     AnalysisConfig,
+    BranchLabel,
     ProcessModel,
     ReferenceTooSmall,
-    SweepLimitError,
     VariabilityProfile,
     enumerate_slots,
     exhaustive_sweep,
@@ -40,6 +40,20 @@ def _subset_envelope(process, config):
             pams.append(process_adaptability(process, profile, config).pam)
         rows.append((count, min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
     return rows
+
+
+def _process_with_join_points(rng, count):
+    """A random tree over ``count`` invokes and some assigns, grouped bottom-up."""
+    nodes = [Activity("invoke") for _ in range(count)] + [Activity("assign") for _ in range(count // 4)]
+    rng.shuffle(nodes)
+    while len(nodes) > 1 or nodes[0].is_basic:
+        size = rng.randint(1, min(4, len(nodes)))
+        at = rng.randrange(len(nodes) - size + 1)
+        kind = rng.choice(("sequence", "flow", "while", "switch", "pick"))
+        wrapper = {"switch": "case", "pick": "onAlarm"}.get(kind)
+        labels = (BranchLabel(wrapper),) * size if wrapper else None
+        nodes[at:at + size] = [Activity(kind, children=tuple(nodes[at:at + size]), branch_labels=labels)]
+    return ProcessModel(name=f"grouped{count}", root=nodes[0])
 
 
 def _outcome(compute):
@@ -189,9 +203,28 @@ class TestExhaustiveSweep:
                         raised += isinstance(expected, str)
         assert raised > 0
 
-    def test_slot_limit_enforced(self, travel_process, config):
-        with pytest.raises(SweepLimitError):
-            exhaustive_sweep(travel_process, config)
+    def test_travel_fixture_matches_subset_enumeration(self, travel_process, config):
+        # 15 slots: each of the 2^15 subsets is aggregated over the whole tree
+        assert exhaustive_sweep(travel_process, config) == _subset_envelope(travel_process, config)
+
+    @pytest.mark.parametrize("join_points", [20, 100])
+    def test_set_mode_matches_closed_form_on_large_processes(self, join_points, config):
+        # With R = 3 every slot adds its join point's weight / 3, so k slots
+        # reach at least the k smallest slot values and at most the k largest,
+        # and every slot lies in k / S of the subsets of size k.
+        process = _process_with_join_points(random.Random(join_points), join_points)
+        values = sorted(
+            weight / config.reference_value for weight in join_point_weights(process, config).values()
+            for _ in range(3)  # one per advice type
+        )
+        slots = len(values)
+        assert slots == 3 * join_points
+        total = sum(values, Fraction(0))
+        expected = [
+            (k, sum(values[:k], Fraction(0)), Fraction(k, slots) * total, sum(values[slots - k:], Fraction(0)))
+            for k in range(slots + 1)
+        ]
+        assert exhaustive_sweep(process, config) == expected
 
     def test_raw_clamped_mode_matches_set_mode_here(self, mini_process):
         # slots are distinct (path, type) pairs, so multiplicities never
