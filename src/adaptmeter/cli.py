@@ -103,6 +103,24 @@ def _emit_warnings(messages) -> None:
         sys.stderr.write("".join(f"warning: {message}\n" for message in messages))
 
 
+def _write_report(text: str) -> int:
+    """Write a report to standard output in one write and return exit status 0.
+
+    A reader may close the pipe before the report ends (``| head``). Then
+    the write or its flush fails with EPIPE; standard output is pointed at
+    os.devnull so the flush at exit stays silent, and the status is still 0,
+    buffered or not.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .matching import bind_aspects
     from .metrics import process_adaptability
@@ -115,10 +133,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     result = process_adaptability(process, profile, config)
     _emit_warnings([*notes, *result.warnings])
     report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
-    # One write: a report and its newline written apart could meet a closed
-    # pipe in between, and the exit status then depended on timing.
-    sys.stdout.write(report + "\n")
-    return 0
+    return _write_report(report + "\n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -133,10 +148,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         text = exhaustive_csv(exhaustive_sweep(process, config))
     else:
         text = sweep_csv(run_sweep(process, args.cases, args.seed, config))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        return _write_report(text)
+    Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -149,8 +163,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     left_process = _load(Path(args.process_a), parse_process)
     right_process = _load(Path(args.process_b), parse_process)
     left_aspects, left_notes = load_aspects(args.aspects)
-    right_paths = args.aspects2 if args.aspects2 is not None else args.aspects
-    right_aspects, right_notes = load_aspects(right_paths)
+    right_aspects, right_notes = (
+        (left_aspects, left_notes) if args.aspects2 is None else load_aspects(args.aspects2)
+    )
     left = process_adaptability(left_process, bind_aspects(left_process, left_aspects, config), config)
     right = process_adaptability(right_process, bind_aspects(right_process, right_aspects, config), config)
     _emit_warnings([f"left: {message}" for message in (*left_notes, *left.warnings)]
@@ -159,8 +174,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = render_compare_json(left, right, args.process_a, args.process_b)
     else:
         report = render_compare_text(left, right, args.process_a, args.process_b, color=_use_color())
-    sys.stdout.write(report + "\n")
-    return 0
+    return _write_report(report + "\n")
 
 
 def _format_error(error: AdaptMeterError) -> str:

@@ -10,7 +10,7 @@ nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -102,16 +102,16 @@ def _predicates_hold(predicates: Sequence[tuple[str, str]], target: Activity | P
 
 def _within(ranks: Sequence[int], contexts: Sequence[int], ends: Sequence[int]) -> list[int]:
     """The ranks that are proper descendants of some context; both lists ascending."""
-    # Subtrees nest or are disjoint, so the outermost contexts cover the
-    # rest: their rank ranges are disjoint and sorted. A rank that is an
-    # inner context lies strictly inside an outer one.
-    starts: list[int] = []
-    stops: list[int] = []
+    # A staircase join (Grust, van Keulen and Teubner, VLDB 2003): subtrees
+    # nest or are disjoint, so only the outermost contexts count, and each
+    # takes the slice of ranks inside its own subtree.
+    found: list[int] = []
+    stop = 0
     for context in contexts:
-        if not stops or context >= stops[-1]:
-            starts.append(context)
-            stops.append(ends[context])
-    return [rank for rank in ranks if (i := bisect_left(starts, rank)) and rank < stops[i - 1]]
+        if context >= stop:
+            stop = ends[context]
+            found += ranks[bisect_right(ranks, context):bisect_left(ranks, stop)]
+    return found
 
 
 def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:

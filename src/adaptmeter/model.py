@@ -156,8 +156,9 @@ _PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
 class ActivityPath(Record):
     """Stable address of one activity: (kind, sibling index) steps from the root.
 
-    Paths order by depth-first pre-order of the tree, which for sibling
-    indices is plain lexicographic order.
+    Paths do not compare with ``<``; sort them by ``order_key``, which
+    follows the tree's depth-first pre-order (for sibling indices, plain
+    lexicographic order).
     """
 
     __slots__ = ("steps",)
@@ -177,8 +178,6 @@ class ActivityPath(Record):
             if match is None:
                 raise ValueError(f"bad path step {part!r} in {text!r}")
             steps.append((match.group(1), int(match.group(2))))
-        if not steps:
-            raise ValueError(f"empty activity path: {text!r}")
         return cls(tuple(steps))
 
     @property
@@ -192,9 +191,6 @@ class ActivityPath(Record):
     @property
     def order_key(self) -> tuple:
         return (tuple(index for _, index in self.steps), self.steps)
-
-    def __lt__(self, other: ActivityPath) -> bool:
-        return self.order_key < other.order_key
 
     def __str__(self) -> str:
         return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in self.steps)

@@ -9,6 +9,7 @@ from the same MetricsResult and cannot disagree.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -110,27 +111,19 @@ def render_json(result: MetricsResult) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _join_point_vds(result: MetricsResult) -> dict[str, tuple[Fraction, tuple]]:
-    return {
-        str(node.path): (node.vd, node.path.order_key)
-        for node in result.root.walk()
-        if node.join_point
-    }
-
-
 def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
     """One JSON-ready row per join point of either side, in pre-order: its path,
     then the left and right VDs and their exact difference as floats, each
     None where a side lacks the join point."""
-    left_vds = _join_point_vds(left)
-    right_vds = _join_point_vds(right)
-    keys = {**left_vds, **right_vds}
+    left_vds, right_vds = ({node.path: node.vd for node in result.root.walk() if node.join_point}
+                           for result in (left, right))
     rows = []
-    for path in sorted(keys, key=lambda p: keys[p][1]):
-        left_vd = left_vds.get(path, (None,))[0]
-        right_vd = right_vds.get(path, (None,))[0]
+    for path in sorted(left_vds.keys() | right_vds.keys(), key=attrgetter("order_key")):
+        left_vd = left_vds.get(path)
+        right_vd = right_vds.get(path)
         delta = right_vd - left_vd if left_vd is not None and right_vd is not None else None
-        rows.append({"path": path, "left_vd": _float(left_vd), "right_vd": _float(right_vd), "delta": _float(delta)})
+        rows.append({"path": str(path), "left_vd": _float(left_vd), "right_vd": _float(right_vd),
+                     "delta": _float(delta)})
     return rows
 
 

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from adaptmeter.cli import _use_color, main
-from adaptmeter.report import render_text
+from adaptmeter.parsing import load_aspects
+from adaptmeter.report import render_compare_text, render_text
 from conftest import FIXTURES_DIR, SRC_DIR
 
 TRAVEL = str(FIXTURES_DIR / "travel_booking.bpel")
@@ -390,10 +391,74 @@ class TestCompareCommand:
         assert row["left_vd"] is None
         assert row["delta"] is None
 
+    def test_rows_follow_preorder_when_the_sides_differ_in_kind(self, tmp_path, capsys):
+        # Sibling indices order first, then kinds; plain text order would put
+        # flow[1]/invoke[0] before invoke[1].
+        left, right = tmp_path / "left.bpel", tmp_path / "right.bpel"
+        left.write_text('<process name="L"><sequence><receive/><flow><invoke/></flow><invoke/></sequence></process>')
+        right.write_text('<process name="R"><sequence><receive/><invoke/><reply/></sequence></process>')
+        code, out, _ = run_cli(capsys, "compare", str(left), str(right), "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["join_points"]
+        assert [(row["path"], row["left_vd"] is None, row["right_vd"] is None) for row in rows] == [
+            ("/process/sequence[0]/receive[0]", False, False),
+            ("/process/sequence[0]/invoke[1]", True, False),
+            ("/process/sequence[0]/flow[1]/invoke[0]", False, True),
+            ("/process/sequence[0]/invoke[2]", False, True),
+            ("/process/sequence[0]/reply[2]", True, False),
+        ]
+        _, text, _ = run_cli(capsys, "compare", str(left), str(right))
+        assert [line.split()[0] for line in text.splitlines()[5:]] == [row["path"] for row in rows]
+
+    def test_without_aspects2_loads_the_aspects_once(self, monkeypatch, capsys):
+        import adaptmeter.cli
+
+        calls = []
+
+        def counting(paths):
+            calls.append(paths)
+            return load_aspects(paths)
+
+        monkeypatch.setattr(adaptmeter.cli, "load_aspects", counting)
+        reused = run_cli(capsys, "compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR)
+        assert len(calls) == 1
+        loaded_twice = run_cli(capsys, "compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR, "--aspects2", ASPECTS_DIR)
+        assert len(calls) == 3
+        assert reused == loaded_twice
+
     def test_per_join_point_table(self, capsys):
         _, out, _ = run_cli(capsys, "compare", TRAVEL, TRAVEL, "--aspects", ASPECTS_DIR)
         assert "join point" in out
         assert "/process/sequence[0]/switch[2]/invoke[0]" in out
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head -c 10``) ends the report silently, with status 0."""
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        # Every report of this process is larger than a 64 KB pipe buffer.
+        path = tmp_path_factory.mktemp("closed") / "big.bpel"
+        invokes = "".join(f'<invoke name="call{i}" operation="op{i}"/>' for i in range(2000))
+        path.write_text(f'<process name="big"><sequence>{invokes}</sequence></process>')
+        return str(path)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "compare"])
+    def test_exit_zero_and_no_error(self, big, command, unbuffered):
+        argv = {"analyze": ["analyze", big], "sweep": ["sweep", big, "--cases", "1"],
+                "compare": ["compare", big, big]}[command]
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen([sys.executable, "-m", "adaptmeter", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == 0
+        assert err == b""
 
 
 class TestDeterminism:
@@ -446,6 +511,15 @@ class TestStartup:
         loaded = _modules_loaded_by(f"from adaptmeter.cli import main\nassert main(['sweep', {MINI!r}, '--exhaustive']) == 0")
         assert "adaptmeter.sweep" in loaded
         assert loaded.isdisjoint({"adaptmeter.matching", "adaptmeter.selectors", "json"})
+
+    def test_unknown_package_name_raises_and_dir_lists_every_public_name(self):
+        import adaptmeter
+
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            adaptmeter.no_such_name
+        listed = dir(adaptmeter)
+        assert listed == sorted(listed)
+        assert set(adaptmeter.__all__) | {"__version__"} <= set(listed)
 
     def test_every_public_name_resolves_and_star_import_binds_it(self):
         code = (
@@ -564,3 +638,14 @@ class TestColor:
         result = process_adaptability(travel_process, VariabilityProfile.empty(), config)
         assert "\x1b[1m" in render_text(result, travel_process, color=True)
         assert "\x1b" not in render_text(result, travel_process, color=False)
+
+    def test_render_compare_text_color_switch(self, travel_process, linear_process, config):
+        from adaptmeter import VariabilityProfile, process_adaptability
+
+        left, right = (process_adaptability(process, VariabilityProfile.empty(), config)
+                       for process in (travel_process, linear_process))
+        colored = render_compare_text(left, right, "a", "b", color=True)
+        assert "\x1b[1mdelta (right - left) = +0.0000\x1b[0m" in colored.splitlines()
+        plain = render_compare_text(left, right, "a", "b", color=False)
+        assert "\x1b" not in plain
+        assert colored.replace("\x1b[1m", "").replace("\x1b[0m", "") == plain

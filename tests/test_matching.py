@@ -17,6 +17,7 @@ from adaptmeter import (
     parse_aspect,
     parse_selector,
 )
+from adaptmeter.matching import _within
 from randtrees import random_process
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
@@ -133,6 +134,22 @@ class TestMatchSelector:
                 assert all(result == expected for result in results.values())
         finally:
             sys.setswitchinterval(old_interval)
+
+
+def test_within_agrees_with_a_naive_filter():
+    # In about two draws of three some contexts lie inside another context.
+    rng = random.Random(20231)
+    nested = 0
+    for _ in range(300):
+        index = random_process(rng, max_depth=6, max_nodes=40).index
+        size = len(index.paths)
+        contexts = sorted(rng.sample(range(size), rng.randint(1, min(size, 6))))
+        nested += any(c < d < index.ends[c] for c in contexts for d in contexts)
+        candidates = sorted(rng.sample(range(size), rng.randint(0, size)))
+        expected = [rank for rank in candidates if any(c < rank < index.ends[c] for c in contexts)]
+        assert _within(candidates, contexts, index.ends) == expected
+        assert _within(tuple(candidates), contexts, index.ends) == expected
+    assert nested > 150
 
 
 class TestBindAspects:

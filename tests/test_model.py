@@ -215,6 +215,10 @@ class TestActivityInvariants:
         with pytest.raises(StructuralError):
             Activity("pick", children=(Activity("invoke"),), branch_labels=(BranchLabel("case"),))
 
+    def test_basic_activity_cannot_have_branch_labels(self):
+        with pytest.raises(StructuralError, match="cannot have branch labels"):
+            Activity("invoke", branch_labels=())
+
     def test_sequence_takes_no_branch_labels(self):
         with pytest.raises(StructuralError):
             Activity("sequence", children=(Activity("invoke"),), branch_labels=(BranchLabel("case"),))

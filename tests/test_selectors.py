@@ -92,6 +92,10 @@ class TestRenderSelector:
         assert "'say \"hi\"'" in rendered
         assert parse_selector(rendered) == selector
 
+    def test_str_is_the_rendered_text(self):
+        selector = parse_selector(FLIGHT_SELECTOR)
+        assert str(selector) == render_selector(selector) == FLIGHT_SELECTOR
+
 
 # Pieces of selector text, valid and not: Unicode whitespace that
 # str.isspace accepts (and a zero-width space it does not), names with
