@@ -1,8 +1,9 @@
 """Command-line interface: analyze, sweep, and compare.
 
 Exit codes: 0 success, 1 input or configuration error, 2 I/O error.
-Warnings go to standard error; reports go to standard output. The
-ADAPT_METER_NO_COLOR environment variable disables ANSI styling.
+Warnings go to standard error; reports go to standard output; a closed
+stream never changes the exit status. The ADAPT_METER_NO_COLOR
+environment variable disables ANSI styling.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class _Parser(argparse.ArgumentParser):
     # errors here, so raise and let main() return 1 instead.
     def error(self, message):
         raise _ArgumentError(f"{self.prog}: {message}")
+
+    # Help and usage go through the same writer as reports.
+    def _print_message(self, message, file=None):
+        _write(file, message)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _use_color() -> bool:
-    return sys.stdout.isatty() and "ADAPT_METER_NO_COLOR" not in os.environ
+    return sys.stdout is not None and sys.stdout.isatty() and "ADAPT_METER_NO_COLOR" not in os.environ
 
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -96,29 +101,28 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
-def _emit_warnings(messages) -> None:
-    # One write: if a reader closed standard error between two lines, the
-    # exit status would depend on timing.
-    if messages:
-        sys.stderr.write("".join(f"warning: {message}\n" for message in messages))
+def _write(stream, text: str) -> None:
+    """Write text to a standard stream in one write, so a closed stream never changes the exit status.
 
-
-def _write_report(text: str) -> int:
-    """Write a report to standard output in one write and return exit status 0.
-
-    A reader may close the pipe before the report ends (``| head``). Then
-    the write or its flush fails with EPIPE; standard output is pointed at
-    os.devnull so the flush at exit stays silent, and the status is still 0,
+    A stream that was closed before the process started is None and is
+    skipped. A reader may close the pipe before the text ends (``| head``);
+    then the write or its flush fails with EPIPE, and the stream's file
+    descriptor is pointed at os.devnull so the flush at exit stays silent,
     buffered or not.
     """
+    if stream is None or not text:
+        return
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-    return 0
+
+
+def _emit_warnings(messages) -> None:
+    _write(sys.stderr, "".join(f"warning: {message}\n" for message in messages))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -133,7 +137,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     result = process_adaptability(process, profile, config)
     _emit_warnings([*notes, *result.warnings])
     report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
-    return _write_report(report + "\n")
+    _write(sys.stdout, report + "\n")
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -148,9 +153,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         text = exhaustive_csv(exhaustive_sweep(process, config))
     else:
         text = sweep_csv(run_sweep(process, args.cases, args.seed, config))
-    if not args.out:
-        return _write_report(text)
-    Path(args.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        _write(sys.stdout, text)
     return 0
 
 
@@ -174,7 +180,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = render_compare_json(left, right, args.process_a, args.process_b)
     else:
         report = render_compare_text(left, right, args.process_a, args.process_b, color=_use_color())
-    return _write_report(report + "\n")
+    _write(sys.stdout, report + "\n")
+    return 0
 
 
 def _format_error(error: AdaptMeterError) -> str:
@@ -191,26 +198,30 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return 1
     try:
         return args.func(args)
     except AdaptMeterError as exc:
-        print(f"error: {_format_error(exc)}", file=sys.stderr)
+        _write(sys.stderr, f"error: {_format_error(exc)}\n")
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return 2
 
 
 def run() -> int:
     """Process entry point: ``main()``, then freeze the heap before the interpreter exits.
 
-    Freezing moves every live object to the permanent generation, so the
-    collections run at interpreter exit have nothing to traverse; atexit
-    handlers and the flushing of standard output and error still run.
-    In-process callers use ``main()``, which leaves the collector alone.
+    Standard output writes characters its encoding lacks as backslash
+    escapes, as Python already does on standard error. Freezing moves every
+    live object to the permanent generation, so the collections run at
+    interpreter exit have nothing to traverse; atexit handlers and the
+    flushing of standard output and error still run. In-process callers use
+    ``main()``, which leaves the streams and the collector alone.
     """
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(errors="backslashreplace")
     status = main()
     gc.freeze()
     return status

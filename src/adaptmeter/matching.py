@@ -11,8 +11,8 @@ nothing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
 
@@ -34,33 +34,39 @@ class JoinPointBinding(Record):
 
 
 class VariabilityProfile(Record):
-    """Advice attachments per join point.
+    """Advice attachments per join point: the bindings and the warnings binding raised.
 
-    ``entries`` maps each bound path to the set of advice types present
-    there; ``raw_counts`` keeps per-type multiplicities for reporting and
-    for the raw-clamped count mode; ``bindings`` is the provenance.
+    The constructor keeps the bindings in one canonical order: by path
+    (`ActivityPath.order_key`, the tree's pre-order), then aspect name,
+    pointcut name and advice type. ``raw_counts`` is a read-only view of
+    the per-path ``{advice type: count}`` maps derived from them.
     """
 
-    __slots__ = ("entries", "bindings", "raw_counts", "warnings")
+    __slots__ = ("bindings", "warnings", "_counts")
 
-    def __init__(
-        self,
-        entries: Mapping[ActivityPath, frozenset[str]],
-        bindings: tuple[JoinPointBinding, ...],
-        raw_counts: Mapping[ActivityPath, Mapping[str, int]],
-        warnings: tuple[str, ...] = (),
-    ) -> None:
-        _set(self, "entries", entries)
-        _set(self, "bindings", bindings)
-        _set(self, "raw_counts", raw_counts)
+    def __init__(self, bindings: Iterable[JoinPointBinding] = (), warnings: tuple[str, ...] = ()) -> None:
+        ordered = tuple(sorted(
+            bindings,
+            key=lambda b: (b.path.order_key, b.aspect_name, b.pointcut_name, ADVICE_TYPES.index(b.advice_type)),
+        ))
+        counts: dict[ActivityPath, dict[str, int]] = {}
+        for binding in ordered:
+            at_path = counts.setdefault(binding.path, {})
+            at_path[binding.advice_type] = at_path.get(binding.advice_type, 0) + 1
+        _set(self, "bindings", ordered)
         _set(self, "warnings", warnings)
+        _set(self, "_counts", MappingProxyType({path: MappingProxyType(at_path) for path, at_path in counts.items()}))
+
+    @property
+    def raw_counts(self) -> Mapping[ActivityPath, Mapping[str, int]]:
+        return self._counts
 
     def advice_types(self, path: ActivityPath) -> frozenset[str]:
-        return self.entries.get(path, frozenset())
+        return frozenset(self._counts.get(path, ()))
 
     @classmethod
     def empty(cls) -> "VariabilityProfile":
-        return cls({}, (), {})
+        return cls()
 
     @classmethod
     def from_assignments(cls, assignments: Iterable[tuple[ActivityPath, str]]) -> "VariabilityProfile":
@@ -69,27 +75,10 @@ class VariabilityProfile(Record):
         Used when attachments are chosen programmatically (sweeps, tests)
         rather than matched from aspect files; provenance is synthetic.
         """
-        bindings = tuple(
+        return cls(
             JoinPointBinding("direct", f"slot{index}", path, advice_type)
             for index, (path, advice_type) in enumerate(assignments)
         )
-        return cls._from_bindings(bindings, attrgetter("order_key"), ())
-
-    @classmethod
-    def _from_bindings(
-        cls, bindings: Sequence[JoinPointBinding], place: Callable[[ActivityPath], object], warnings: tuple[str, ...]
-    ) -> "VariabilityProfile":
-        """Order the bindings; ``place`` gives a path's sort key, which follows pre-order."""
-        ordered = sorted(
-            bindings,
-            key=lambda b: (place(b.path), b.aspect_name, b.pointcut_name, ADVICE_TYPES.index(b.advice_type)),
-        )
-        raw_counts: dict[ActivityPath, dict[str, int]] = {}
-        for binding in ordered:
-            counts = raw_counts.setdefault(binding.path, {})
-            counts[binding.advice_type] = counts.get(binding.advice_type, 0) + 1
-        entries = {path: frozenset(counts) for path, counts in raw_counts.items()}
-        return cls(entries, tuple(ordered), raw_counts, warnings)
 
 
 def _predicates_hold(predicates: Sequence[tuple[str, str]], target: Activity | ProcessModel) -> bool:
@@ -154,15 +143,6 @@ def bind_aspects(
     advice type. Disabled aspects are skipped unless the config says
     otherwise; matches on non-join-point activities become warnings.
     """
-    # Matches are the index's own paths, so identity finds each one's
-    # pre-order rank; an equal path that is not one of them is found by value.
-    index = process.index
-    rank_of = dict(zip(map(id, index.paths), range(len(index.paths))))
-
-    def rank(path: ActivityPath) -> int:
-        found = rank_of.get(id(path))
-        return index.paths.index(path) if found is None else found
-
     bindings: list[JoinPointBinding] = []
     warnings: list[str] = []
     for aspect in aspects:
@@ -181,4 +161,4 @@ def bind_aspects(
                         f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
                         f"match at {path} is not a join point (<{path.kind}>); skipped"
                     )
-    return VariabilityProfile._from_bindings(bindings, rank, tuple(warnings))
+    return VariabilityProfile(bindings, tuple(warnings))

@@ -103,10 +103,10 @@ def variability_value(profile: VariabilityProfile, path: ActivityPath, config: A
     """
     if path.kind not in config.join_point_kinds:
         raise NotAJoinPoint(f"{path} is a <{path.kind}>, which cannot carry advice under this config")
+    counts = profile.raw_counts.get(path, {})
     if config.count_mode == "set":
-        return len(profile.entries.get(path, frozenset()))
-    total = sum(profile.raw_counts.get(path, {}).values())
-    return min(total, config.reference_value)
+        return len(counts)
+    return min(sum(counts.values()), config.reference_value)
 
 
 def variability_degree(vv: int, reference_value: int) -> Fraction:

@@ -21,6 +21,7 @@ from adaptmeter import (
     Aspect,
     BadAdviceType,
     BranchLabel,
+    JoinPointBinding,
     MalformedXml,
     MissingPointcut,
     NodeVD,
@@ -130,6 +131,34 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
                     matched.setdefault(path)
         contexts = list(matched)
     return sorted((path for path in contexts if path is not None), key=lambda p: p.order_key)
+
+
+def bind_aspects(
+    process: ProcessModel, aspects, config: AnalysisConfig
+) -> tuple[tuple[JoinPointBinding, ...], tuple[str, ...]]:
+    """The bindings and warnings of binding ``aspects``, by rescanning per pointcut.
+
+    Matches and bindings are ordered by each path's position in `walk`,
+    then aspect name, pointcut name and advice type.
+    """
+    position = {path: rank for rank, (path, _) in enumerate(walk(process))}
+    bindings, warnings = [], []
+    for aspect in aspects:
+        if not aspect.enabled and not config.include_disabled_aspects:
+            continue
+        for pointcut in aspect.pointcuts:
+            paths = sorted(match_selector(pointcut.selector, process), key=position.__getitem__)
+            if not paths:
+                warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': selector matched no activities")
+            for path in paths:
+                if path.kind in config.join_point_kinds:
+                    bindings.append(JoinPointBinding(aspect.name, pointcut.name, path, aspect.advice_type))
+                else:
+                    warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
+                                    f"match at {path} is not a join point (<{path.kind}>); skipped")
+    bindings.sort(key=lambda b: (position[b.path], b.aspect_name, b.pointcut_name,
+                                 ADVICE_TYPES.index(b.advice_type)))
+    return tuple(bindings), tuple(warnings)
 
 
 class _Scanner:

@@ -461,6 +461,63 @@ class TestClosedStdout:
         assert err == b""
 
 
+def _adapt_meter_env(unbuffered: bool, **extra: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestClosedStreams:
+    """A standard stream closed before the process starts never changes the exit status."""
+
+    @pytest.mark.parametrize("argv, stream, status", [
+        (["analyze", LINEAR, "--aspects", "NOWHERE"], "stderr", 0),
+        (["analyze", "nope.bpel"], "stderr", 2),
+        (["analyze"], "stderr", 1),
+        (["sweep", "--help"], "stdout", 0),
+    ], ids=["warnings", "missing-file", "usage-error", "help"])
+    def test_pipe_closed_by_its_reader(self, tmp_path, argv, stream, status, unbuffered):
+        aspect = tmp_path / "nowhere.xml"
+        aspect.write_text('<aspect name="N"><pointcut>//reply[@name="x"]</pointcut>'
+                          '<advice type="before"><invoke/></advice></aspect>')
+        argv = [str(aspect) if arg == "NOWHERE" else arg for arg in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: write_end}
+            child = subprocess.run([sys.executable, "-m", "adaptmeter", *argv],
+                                   env=_adapt_meter_env(unbuffered), **streams)
+        finally:
+            os.close(write_end)
+        assert child.returncode == status
+
+    def test_no_stdout_at_all(self, unbuffered):
+        # As ``adapt-meter analyze ... >&-`` runs it: sys.stdout is None.
+        child = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "adaptmeter",
+                                "analyze", TRAVEL, "--aspects", ASPECTS_DIR],
+                               stderr=subprocess.PIPE, env=_adapt_meter_env(unbuffered))
+        assert child.returncode == 0
+        assert child.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["analyze", "PROCESS"], ["compare", "PROCESS", "PROCESS"]])
+def test_unencodable_report_characters_are_backslash_escaped(tmp_path, argv):
+    process = tmp_path / "p.bpel"
+    process.write_text('<process name="p\u00e9"><sequence><invoke name="a"/></sequence></process>',
+                       encoding="utf-8")
+    argv = [str(process) if arg == "PROCESS" else arg for arg in argv]
+    child = subprocess.run([sys.executable, "-m", "adaptmeter", *argv], capture_output=True,
+                           env=_adapt_meter_env(False, PYTHONIOENCODING="ascii"))
+    assert child.returncode == 0
+    assert child.stderr == b""
+    assert rb"p\xe9" in child.stdout
+    if argv[0] == "analyze":
+        assert child.stdout.startswith(rb"process: p\xe9" + b"\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

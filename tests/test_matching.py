@@ -6,6 +6,8 @@ import random
 import sys
 import threading
 
+import pytest
+
 from adaptmeter import (
     Activity,
     ActivityPath,
@@ -155,7 +157,7 @@ def test_within_agrees_with_a_naive_filter():
 class TestBindAspects:
     def test_travel_aspects_yield_expected_profile(self, travel_process, travel_aspects, config):
         profile = bind_aspects(travel_process, travel_aspects, config)
-        entries = {str(path): types for path, types in profile.entries.items()}
+        entries = {str(path): profile.advice_types(path) for path in profile.raw_counts}
         assert entries == {
             "/process/sequence[0]/switch[2]/invoke[0]": frozenset({"before", "around", "after"}),
             "/process/sequence[0]/switch[2]/invoke[1]": frozenset({"before", "around"}),
@@ -174,14 +176,14 @@ class TestBindAspects:
 
     def test_no_aspects_is_an_empty_profile(self, travel_process, config):
         profile = bind_aspects(travel_process, [], config)
-        assert profile.entries == {}
+        assert profile.raw_counts == {}
         assert profile.bindings == ()
 
     def test_one_around_advice_covers_two_join_points(self, linear_process, config):
         aspect = _aspect("Failover", "//invoke", advice_type="around")
         profile = bind_aspects(linear_process, [aspect], config)
         assert len(profile.bindings) == 2
-        assert all(types == frozenset({"around"}) for types in profile.entries.values())
+        assert all(counts == {"around": 1} for counts in profile.raw_counts.values())
 
     def test_disabled_aspect_contributes_nothing(self, linear_process, config):
         aspect = _aspect("Off", "//invoke", enabled=' enabled="false"')
@@ -211,7 +213,7 @@ class TestBindAspects:
         second = _aspect("CheckB", '//invoke[@operation="bookFlight"]')
         profile = bind_aspects(linear_process, [first, second], config)
         path = profile.bindings[0].path
-        assert profile.entries[path] == frozenset({"before"})
+        assert profile.advice_types(path) == frozenset({"before"})
         assert profile.raw_counts[path] == {"before": 2}
         assert len(profile.bindings) == 2
 
@@ -248,7 +250,8 @@ class TestBindAspects:
 
     def test_entries_mirror_bindings(self, travel_process, travel_aspects, config):
         profile = bind_aspects(travel_process, travel_aspects, config)
-        for path, types in profile.entries.items():
+        for path in profile.raw_counts:
+            types = profile.advice_types(path)
             from_bindings = {b.advice_type for b in profile.bindings if b.path == path}
             assert types == from_bindings
             assert len(types) <= 3
@@ -259,7 +262,7 @@ class TestBindAspects:
             process = random_process(rng)
             aspect = _aspect("Anything", "//invoke", advice_type="after")
             profile = bind_aspects(process, [aspect], config)
-            for path in profile.entries:
+            for path in profile.raw_counts:
                 assert path.kind == "invoke"
 
 
@@ -270,11 +273,20 @@ class TestProfileConstruction:
         profile = VariabilityProfile.from_assignments(
             [(path_b, "after"), (path_a, "before"), (path_a, "before")]
         )
-        assert profile.entries == {path_a: frozenset({"before"}), path_b: frozenset({"after"})}
+        assert profile.raw_counts == {path_a: {"before": 2}, path_b: {"after": 1}}
         assert profile.raw_counts[path_a] == {"before": 2}
         assert len(profile.bindings) == 3
 
+    def test_raw_counts_cannot_be_changed_behind_the_bindings(self):
+        path = ActivityPath.from_text("/process/sequence[0]/invoke[0]")
+        profile = VariabilityProfile.from_assignments([(path, "before")])
+        with pytest.raises(TypeError):
+            profile.raw_counts[path] = {"after": 1}
+        with pytest.raises(TypeError):
+            profile.raw_counts[path]["after"] = 2
+        assert profile == VariabilityProfile.from_assignments([(path, "before")])
+
     def test_empty_profile(self):
         profile = VariabilityProfile.empty()
-        assert profile.entries == {}
+        assert profile.raw_counts == {}
         assert profile.advice_types(ActivityPath.from_text("/process/sequence[0]")) == frozenset()

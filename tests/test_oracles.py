@@ -11,12 +11,15 @@ from adaptmeter import (
     Activity,
     AdaptMeterError,
     AnalysisConfig,
+    Aspect,
+    Pointcut,
     PointcutSelector,
     ProcessModel,
     ReferenceTooSmall,
     SelectorStep,
     VariabilityProfile,
     VariabilitySlot,
+    bind_aspects,
     enumerate_slots,
     iter_activities,
     join_point_weights,
@@ -103,6 +106,47 @@ def test_match_selector_agrees_with_naive_matcher():
             assert match_selector(selector, process) == expected, str(selector)
             hits += bool(expected)
     assert hits > 1500
+
+
+def _random_aspects(rng: random.Random, process, config: AnalysisConfig) -> list[Aspect]:
+    """One to four aspects from small name pools, so names repeat; about one in four is disabled.
+
+    Half the pointcuts are ``//kind`` for a kind in the tree, mostly a
+    join-point kind, so many calls bind several advice to one join point.
+    """
+    kinds = sorted({activity.kind for _, activity in iter_activities(process)})
+    join_point_kinds = [kind for kind in kinds if kind in config.join_point_kinds]
+    if join_point_kinds and rng.random() < 0.8:
+        kinds = join_point_kinds
+
+    def selector() -> PointcutSelector:
+        if rng.random() < 0.5:
+            return _random_selector(rng, process)
+        return PointcutSelector((SelectorStep(rng.choice(kinds)),))
+
+    return [
+        Aspect(f"aspect{rng.randrange(2)}",
+               tuple(Pointcut(f"pc{rng.randrange(2)}", selector()) for _ in range(rng.randint(1, 3))),
+               rng.choice(ADVICE_TYPES), Activity("invoke"), enabled=rng.random() < 0.75)
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
+def test_bind_aspects_agrees_with_naive_binder():
+    rng = random.Random(31337)
+    shared = 0
+    for _ in range(300):
+        process = random_process(rng, max_depth=5, max_nodes=25)
+        config = AnalysisConfig(join_point_kinds=rng.choice(CONFIGS).join_point_kinds,
+                                include_disabled_aspects=rng.random() < 0.5)
+        aspects = _random_aspects(rng, process, config)
+        profile = bind_aspects(process, aspects, config)
+        assert (profile.bindings, profile.warnings) == oracles.bind_aspects(process, aspects, config)
+        shuffled = list(profile.bindings)
+        rng.shuffle(shuffled)
+        assert VariabilityProfile(shuffled, profile.warnings) == profile
+        shared += any(sum(counts.values()) > 1 for counts in profile.raw_counts.values())
+    assert shared > 100
 
 
 # Small value pools, so attribute values repeat across nodes and kinds
