@@ -8,90 +8,31 @@ environment variable disables ANSI styling.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import AdaptMeterError, ConfigError
 from .model import AnalysisConfig
 from .parsing import _load, load_aspects, parse_process
 
 # Each subcommand imports the layers it runs inside its own function, so
-# a process loads only the modules its subcommand needs.
+# a process loads only the modules its subcommand needs. argparse too is
+# imported only when a command line needs it (see main()).
 
 
 class _ArgumentError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; 2 is reserved for I/O
-    # errors here, so raise and let main() return 1 instead.
-    def error(self, message):
-        raise _ArgumentError(f"{self.prog}: {message}")
-
-    # Help and usage go through the same writer as reports.
-    def _print_message(self, message, file=None):
-        _write(file, message)
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--reference-value", type=int, default=3, metavar="N",
-                        help="per-activity advice maximum R (default 3)")
-    parser.add_argument("--join-points", default="invoke,receive,reply", metavar="KINDS",
-                        help="comma-separated basic kinds that accept advice")
-    parser.add_argument("--count-mode", choices=["set", "raw-clamped"], default="set",
-                        help="how repeated advice types at one join point count")
-    parser.add_argument("--include-disabled", action="store_true",
-                        help="bind aspects marked enabled=\"false\" too")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="adapt-meter",
-                     description="Static adaptability analysis for aspect-oriented BPEL processes")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="compute the adaptability of one process")
-    analyze.add_argument("process", help="process file (.bpel or .xml)")
-    analyze.add_argument("--aspects", action="append", default=[], metavar="PATH",
-                         help="aspect file, or directory of *.xml aspect files (repeatable)")
-    _add_config_flags(analyze)
-    analyze.add_argument("--format", choices=["text", "json"], default="text")
-    analyze.set_defaults(func=_cmd_analyze)
-
-    sweep = sub.add_parser("sweep", help="chart PAM as variabilities are added one by one")
-    sweep.add_argument("process", help="process file (.bpel or .xml)")
-    sweep.add_argument("--cases", type=int, default=3, metavar="K",
-                       help="number of random placement orders (default 3)")
-    sweep.add_argument("--seed", type=int, default=42, metavar="S",
-                       help="seed for the placement orders (default 42)")
-    sweep.add_argument("--exhaustive", action="store_true",
-                       help="emit min/mean/max over every slot subset")
-    sweep.add_argument("--out", metavar="FILE", help="write CSV to FILE instead of standard output")
-    _add_config_flags(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    compare = sub.add_parser("compare", help="compare the adaptability of two processes")
-    compare.add_argument("process_a", help="left process file")
-    compare.add_argument("process_b", help="right process file")
-    compare.add_argument("--aspects", action="append", default=[], metavar="PATH",
-                         help="aspects for the left process (and the right, unless --aspects2)")
-    compare.add_argument("--aspects2", action="append", default=None, metavar="PATH",
-                         help="aspects for the right process")
-    _add_config_flags(compare)
-    compare.add_argument("--format", choices=["text", "json"], default="text")
-    compare.set_defaults(func=_cmd_compare)
-
-    return parser
-
-
 def _use_color() -> bool:
     return sys.stdout is not None and sys.stdout.isatty() and "ADAPT_METER_NO_COLOR" not in os.environ
 
 
-def _build_config(args: argparse.Namespace) -> AnalysisConfig:
+def _build_config(args) -> AnalysisConfig:
     kinds = frozenset(kind.strip() for kind in args.join_points.split(",") if kind.strip())
     return AnalysisConfig(
         reference_value=args.reference_value,
@@ -106,16 +47,19 @@ def _write(stream, text: str) -> None:
 
     A stream that was closed before the process started is None and is
     skipped. A reader may close the pipe before the text ends (``| head``);
-    then the write or its flush fails with EPIPE, and the stream's file
-    descriptor is pointed at os.devnull so the flush at exit stays silent,
-    buffered or not.
+    then the write or its flush fails with EPIPE. A descriptor open only
+    for reading, as ``2>&-`` can leave it under a shell-script launcher,
+    fails with EBADF. Either way the stream's file descriptor is pointed
+    at os.devnull so the flush at exit stays silent, buffered or not.
     """
     if stream is None or not text:
         return
     try:
         stream.write(text)
         stream.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not (isinstance(exc, BrokenPipeError) or exc.errno == errno.EBADF):
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
@@ -125,7 +69,7 @@ def _emit_warnings(messages) -> None:
     _write(sys.stderr, "".join(f"warning: {message}\n" for message in messages))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args) -> int:
     from .matching import bind_aspects
     from .metrics import process_adaptability
     from .report import render_json, render_text
@@ -141,7 +85,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args) -> int:
     if args.cases < 1:
         raise ConfigError("--cases must be >= 1")
     from .report import exhaustive_csv, sweep_csv
@@ -160,7 +104,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args) -> int:
     from .matching import bind_aspects
     from .metrics import process_adaptability
     from .report import render_compare_json, render_compare_text
@@ -184,6 +128,130 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every subcommand's arguments, in the order its help lists them: a name
+# and the keywords that argparse.add_argument takes for it. A name that
+# does not start with "-" is a positional. Both build_parser() and
+# _read_canonical() read this one table.
+_CONFIG_OPTIONS = (
+    ("--reference-value", dict(type=int, default=3, metavar="N",
+                               help="per-activity advice maximum R (default 3)")),
+    ("--join-points", dict(default="invoke,receive,reply", metavar="KINDS",
+                           help="comma-separated basic kinds that accept advice")),
+    ("--count-mode", dict(choices=("set", "raw-clamped"), default="set",
+                          help="how repeated advice types at one join point count")),
+    ("--include-disabled", dict(action="store_true", default=False,
+                                help="bind aspects marked enabled=\"false\" too")),
+)
+_FORMAT_OPTION = ("--format", dict(choices=("text", "json"), default="text"))
+_PROCESS = ("process", dict(help="process file (.bpel or .xml)"))
+
+# subcommand: (help, handler, arguments)
+_COMMANDS = {
+    "analyze": ("compute the adaptability of one process", _cmd_analyze, (
+        _PROCESS,
+        ("--aspects", dict(action="append", default=[], metavar="PATH",
+                           help="aspect file, or directory of *.xml aspect files (repeatable)")),
+        *_CONFIG_OPTIONS,
+        _FORMAT_OPTION,
+    )),
+    "sweep": ("chart PAM as variabilities are added one by one", _cmd_sweep, (
+        _PROCESS,
+        ("--cases", dict(type=int, default=3, metavar="K",
+                         help="number of random placement orders (default 3)")),
+        ("--seed", dict(type=int, default=42, metavar="S",
+                        help="seed for the placement orders (default 42)")),
+        ("--exhaustive", dict(action="store_true", default=False,
+                              help="emit min/mean/max over every slot subset")),
+        ("--out", dict(metavar="FILE", help="write CSV to FILE instead of standard output")),
+        *_CONFIG_OPTIONS,
+    )),
+    "compare": ("compare the adaptability of two processes", _cmd_compare, (
+        ("process_a", dict(help="left process file")),
+        ("process_b", dict(help="right process file")),
+        ("--aspects", dict(action="append", default=[], metavar="PATH",
+                           help="aspects for the left process (and the right, unless --aspects2)")),
+        ("--aspects2", dict(action="append", default=None, metavar="PATH",
+                            help="aspects for the right process")),
+        *_CONFIG_OPTIONS,
+        _FORMAT_OPTION,
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser for every command line, built from ``_COMMANDS``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; 2 is reserved for I/O
+        # errors here, so raise and let main() return 1 instead.
+        def error(self, message):
+            raise _ArgumentError(f"{self.prog}: {message}")
+
+        # Help and usage go through the same writer as reports.
+        def _print_message(self, message, file=None):
+            _write(file, message)
+
+    parser = _Parser(prog="adapt-meter",
+                     description="Static adaptability analysis for aspect-oriented BPEL processes")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, handler, arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            subparser.add_argument(name, **keywords)
+        subparser.set_defaults(func=handler)
+    return parser
+
+
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, if argv is canonical; else None.
+
+    Canonical means a subcommand, then its positionals and exact long
+    options in any order, each option followed by its value if it takes
+    one, where no value or positional starts with "-" and every value
+    converts and is among its choices. Help, abbreviations, ``--opt=value``,
+    ``--``, dash-leading values and every error are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    options = {name: keywords for name, keywords in arguments if name.startswith("-")}
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    values = {name[2:].replace("-", "_"): keywords.get("default") for name, keywords in options.items()}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        dest = token[2:].replace("-", "_")
+        action = keywords.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is left to argparse too
+        if value.startswith("-"):
+            return None
+        if action == "append":
+            values[dest] = [*(values[dest] or ()), value]
+            continue
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if len(words) != len(positionals):
+        return None
+    values.update(zip(positionals, words))
+    return SimpleNamespace(command=argv[0], func=handler, **values)
+
+
 def _format_error(error: AdaptMeterError) -> str:
     message = str(error)
     if error.source and error.line:
@@ -194,12 +262,21 @@ def _format_error(error: AdaptMeterError) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line (``sys.argv[1:]`` by default); return its exit code."""
-    try:
-        args = build_parser().parse_args(argv)
-    except _ArgumentError as exc:
-        _write(sys.stderr, f"error: {exc}\n")
-        return 1
+    """Run one command line (``sys.argv[1:]`` by default); return its exit code.
+
+    A canonical command line is read without importing argparse or
+    building its parser. argparse reads every other command line, so help,
+    abbreviations and usage errors read exactly as before.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except _ArgumentError as exc:
+            _write(sys.stderr, f"error: {exc}\n")
+            return 1
     try:
         return args.func(args)
     except AdaptMeterError as exc:

@@ -469,30 +469,47 @@ def _adapt_meter_env(unbuffered: bool, **extra: str) -> dict[str, str]:
     return env
 
 
+_CLOSED_STREAM_CASES = [
+    pytest.param(["analyze", LINEAR, "--aspects", "NOWHERE"], "stderr", 0, id="warnings"),
+    pytest.param(["analyze", "nope.bpel"], "stderr", 2, id="missing-file"),
+    pytest.param(["analyze"], "stderr", 1, id="usage-error"),
+    pytest.param(["sweep", "--help"], "stdout", 0, id="help"),
+]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 class TestClosedStreams:
     """A standard stream closed before the process starts never changes the exit status."""
 
-    @pytest.mark.parametrize("argv, stream, status", [
-        (["analyze", LINEAR, "--aspects", "NOWHERE"], "stderr", 0),
-        (["analyze", "nope.bpel"], "stderr", 2),
-        (["analyze"], "stderr", 1),
-        (["sweep", "--help"], "stdout", 0),
-    ], ids=["warnings", "missing-file", "usage-error", "help"])
-    def test_pipe_closed_by_its_reader(self, tmp_path, argv, stream, status, unbuffered):
+    def _run(self, tmp_path, argv, unbuffered, **streams) -> subprocess.CompletedProcess:
         aspect = tmp_path / "nowhere.xml"
         aspect.write_text('<aspect name="N"><pointcut>//reply[@name="x"]</pointcut>'
                           '<advice type="before"><invoke/></advice></aspect>')
         argv = [str(aspect) if arg == "NOWHERE" else arg for arg in argv]
+        return subprocess.run([sys.executable, "-m", "adaptmeter", *argv], env=_adapt_meter_env(unbuffered),
+                              **{"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, **streams})
+
+    @pytest.mark.parametrize("argv, stream, status", _CLOSED_STREAM_CASES)
+    def test_pipe_closed_by_its_reader(self, tmp_path, argv, stream, status, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: write_end}
-            child = subprocess.run([sys.executable, "-m", "adaptmeter", *argv],
-                                   env=_adapt_meter_env(unbuffered), **streams)
+            child = self._run(tmp_path, argv, unbuffered, **{stream: write_end})
         finally:
             os.close(write_end)
         assert child.returncode == status
+
+    @pytest.mark.parametrize("argv, stream, status", [
+        *_CLOSED_STREAM_CASES,
+        pytest.param(["analyze", TRAVEL, "--aspects", ASPECTS_DIR], "stdout", 0, id="report"),
+    ])
+    def test_stream_open_only_for_reading(self, tmp_path, argv, stream, status, unbuffered):
+        # As ``2>&-`` reaches Python through a shell-script launcher: the
+        # descriptor is open, on the script, for reading only.
+        with open(os.devnull, "rb") as read_only:
+            child = self._run(tmp_path, argv, unbuffered, **{"stderr": subprocess.PIPE, stream: read_only})
+        assert child.returncode == status
+        assert not child.stderr
 
     def test_no_stdout_at_all(self, unbuffered):
         # As ``adapt-meter analyze ... >&-`` runs it: sys.stdout is None.
@@ -568,6 +585,24 @@ class TestStartup:
         loaded = _modules_loaded_by(f"from adaptmeter.cli import main\nassert main(['sweep', {MINI!r}, '--exhaustive']) == 0")
         assert "adaptmeter.sweep" in loaded
         assert loaded.isdisjoint({"adaptmeter.matching", "adaptmeter.selectors", "json"})
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", TRAVEL, "--aspects", ASPECTS_DIR, "--format", "json"],
+        ["sweep", MINI, "--cases", "2", "--seed", "7"],
+        ["compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR, "--aspects2", VERIFY],
+    ], ids=["analyze", "sweep", "compare"])
+    def test_canonical_command_lines_load_no_argparse(self, argv):
+        loaded = _modules_loaded_by(f"from adaptmeter.cli import main\nassert main({argv!r}) == 0")
+        assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+
+    def test_help_loads_argparse(self):
+        code = "from adaptmeter.cli import main\ntry:\n    main(['sweep', '--help'])\nexcept SystemExit:\n    pass"
+        assert "argparse" in _modules_loaded_by(code)
+
+    def test_abbreviated_option_reads_as_the_full_one(self, capsys):
+        abbreviated = run_cli(capsys, "sweep", MINI, "--exh")
+        assert abbreviated[0] == 0
+        assert abbreviated == run_cli(capsys, "sweep", MINI, "--exhaustive")
 
     def test_unknown_package_name_raises_and_dir_lists_every_public_name(self):
         import adaptmeter
