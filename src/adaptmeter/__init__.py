@@ -11,7 +11,8 @@ package, or one submodule of it, loads no other submodule.
 
 __version__ = "0.1.0"
 
-# Each submodule and the public names it defines.
+# The documented API (README, "Library use"), by the submodule that
+# defines each name. Every other name imports from its own submodule.
 _EXPORTS = {
     "errors": (
         "AdaptMeterError",
@@ -25,41 +26,11 @@ _EXPORTS = {
         "StructuralError",
         "UnsupportedElement",
     ),
-    "matching": ("JoinPointBinding", "VariabilityProfile", "bind_aspects", "match_selector"),
-    "metrics": (
-        "MetricsResult",
-        "NodeVD",
-        "join_point_weights",
-        "linear_weight_oracle",
-        "process_adaptability",
-        "variability_degree",
-        "variability_value",
-    ),
-    "model": (
-        "ADVICE_TYPES",
-        "BASIC_KINDS",
-        "STRUCTURED_KINDS",
-        "Activity",
-        "ActivityPath",
-        "AnalysisConfig",
-        "BranchLabel",
-        "ProcessModel",
-        "find_join_points",
-        "is_join_point",
-        "iter_activities",
-        "resolve_path",
-    ),
-    "parsing": ("Aspect", "Pointcut", "load_aspects", "parse_aspect", "parse_process", "serialize_process"),
-    "selectors": ("PointcutSelector", "SelectorStep", "parse_selector", "render_selector"),
-    "sweep": (
-        "SweepCase",
-        "SweepResult",
-        "VariabilitySlot",
-        "enumerate_slots",
-        "exhaustive_sweep",
-        "run_sweep",
-        "sweep_case",
-    ),
+    "parsing": ("parse_process", "parse_aspect", "load_aspects"),
+    "model": ("AnalysisConfig", "ProcessModel", "Activity"),
+    "matching": ("bind_aspects",),
+    "metrics": ("process_adaptability", "MetricsResult", "NodeVD"),
+    "sweep": ("run_sweep", "exhaustive_sweep", "SweepResult"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -61,13 +61,6 @@ class VariabilityProfile(Record):
     def raw_counts(self) -> Mapping[ActivityPath, Mapping[str, int]]:
         return self._counts
 
-    def advice_types(self, path: ActivityPath) -> frozenset[str]:
-        return frozenset(self._counts.get(path, ()))
-
-    @classmethod
-    def empty(cls) -> "VariabilityProfile":
-        return cls()
-
     @classmethod
     def from_assignments(cls, assignments: Iterable[tuple[ActivityPath, str]]) -> "VariabilityProfile":
         """Build a profile directly from (path, advice type) pairs.

@@ -15,7 +15,6 @@ its nodes from there instead of walking the tree.
 
 from __future__ import annotations
 
-import re
 from operator import attrgetter
 from typing import Iterator, Mapping
 
@@ -150,9 +149,6 @@ class Activity(Record):
         return self.kind in STRUCTURED_KINDS
 
 
-_PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
-
-
 class ActivityPath(Record):
     """Stable address of one activity: (kind, sibling index) steps from the root.
 
@@ -165,20 +161,6 @@ class ActivityPath(Record):
 
     def __init__(self, steps: tuple[tuple[str, int], ...]) -> None:
         _set(self, "steps", steps)
-
-    @classmethod
-    def from_text(cls, text: str) -> ActivityPath:
-        """Parse the canonical ``/process/sequence[0]/invoke[2]`` form."""
-        prefix = "/process/"
-        if not text.startswith(prefix):
-            raise ValueError(f"activity path must start with {prefix!r}: {text!r}")
-        steps = []
-        for part in text[len(prefix):].split("/"):
-            match = _PATH_STEP_RE.fullmatch(part)
-            if match is None:
-                raise ValueError(f"bad path step {part!r} in {text!r}")
-            steps.append((match.group(1), int(match.group(2))))
-        return cls(tuple(steps))
 
     @property
     def kind(self) -> str:

@@ -36,18 +36,16 @@ class Aspect(Record):
     """One adaptation unit: pointcut selectors plus a single typed advice.
 
     ``enabled`` mirrors the ability to switch aspects on and off without
-    touching the process; disabled aspects are ignored by default.
+    touching the process; disabled aspects are ignored by default. The
+    advice's activity is checked when the aspect is parsed, but not kept.
     """
 
-    __slots__ = ("name", "pointcuts", "advice_type", "advice_body", "enabled")
+    __slots__ = ("name", "pointcuts", "advice_type", "enabled")
 
-    def __init__(
-        self, name: str, pointcuts: tuple[Pointcut, ...], advice_type: str, advice_body: Activity, enabled: bool = True
-    ) -> None:
+    def __init__(self, name: str, pointcuts: tuple[Pointcut, ...], advice_type: str, enabled: bool = True) -> None:
         _set(self, "name", name)
         _set(self, "pointcuts", pointcuts)
         _set(self, "advice_type", advice_type)
-        _set(self, "advice_body", advice_body)
         _set(self, "enabled", enabled)
 
 
@@ -67,7 +65,7 @@ _ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT 
 # its enabled flag. _KIDS collects its content: activities, section
 # entries, pointcuts or a pointcut's text. _MORE collects a branching
 # activity's branch labels, a process's root-activity lines or an
-# aspect's advices.
+# aspect's advice types.
 _ROLE, _TAG, _LINE, _NAME, _ATTRS, _KIDS, _MORE = range(7)
 _SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
 _DRAINED = (None,)  # the frame of an element read after the first error
@@ -222,8 +220,8 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 if parent[_ROLE] == _BRANCHING:
                     parent[_MORE].append(BranchLabel(tag, attributes))
                     parent[_KIDS].append(children[0])
-                else:  # an <advice>
-                    parent[_MORE].append((attributes["type"], children[0]))
+                else:  # an <advice>: its activity is checked, not kept
+                    parent[_MORE].append(attributes["type"])
             elif role == _POINTCUT:
                 parser.CharacterDataHandler = None
                 try:
@@ -245,7 +243,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 if len(more) != 1:
                     raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(more)}",
                                           line=line)
-                result = Aspect(name, tuple(children), more[0][0], more[0][1], attributes)  # the enabled flag
+                result = Aspect(name, tuple(children), more[0], attributes)  # the enabled flag
         except AdaptMeterError as exc:
             fail(exc, False)
 

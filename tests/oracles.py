@@ -12,37 +12,42 @@ from fractions import Fraction
 from xml.parsers import expat
 
 from adaptmeter import (
-    ADVICE_TYPES,
-    BASIC_KINDS,
-    STRUCTURED_KINDS,
     Activity,
-    ActivityPath,
     AnalysisConfig,
-    Aspect,
     BadAdviceType,
-    BranchLabel,
-    JoinPointBinding,
     MalformedXml,
     MissingPointcut,
     NodeVD,
-    Pointcut,
-    PointcutSelector,
     ProcessModel,
-    SelectorStep,
     SelectorSyntax,
     StructuralError,
     UnsupportedElement,
-    VariabilityProfile,
-    is_join_point,
-    parse_selector,
-    variability_degree,
-    variability_value,
 )
+from adaptmeter.matching import JoinPointBinding, VariabilityProfile
+from adaptmeter.metrics import variability_degree, variability_value
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, BranchLabel, is_join_point
+from adaptmeter.parsing import Aspect, Pointcut
+from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector
 
 BRANCHING = ("switch", "pick")
 BRANCHING_KINDS = frozenset(BRANCHING)
 ACTIVITY_KINDS = BASIC_KINDS | STRUCTURED_KINDS
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
+
+
+def activity_path(text: str) -> ActivityPath:
+    """Parse the ``/process/sequence[0]/invoke[2]`` form that ``str(path)`` writes."""
+    prefix = "/process/"
+    if not text.startswith(prefix):
+        raise ValueError(f"activity path must start with {prefix!r}: {text!r}")
+    steps = []
+    for part in text[len(prefix):].split("/"):
+        match = _PATH_STEP_RE.fullmatch(part)
+        if match is None:
+            raise ValueError(f"bad path step {part!r} in {text!r}")
+        steps.append((match.group(1), int(match.group(2))))
+    return ActivityPath(tuple(steps))
 
 
 def walk(process: ProcessModel):
@@ -457,7 +462,7 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
     if "enabled" in root.attributes:
         enabled = _parse_enabled(root.attributes["enabled"], root.line)
     pointcuts: list[Pointcut] = []
-    advices: list[tuple[str, Activity]] = []
+    advices: list[str] = []
     for child in root.children:
         if child.tag in ("partnerLinks", "variables"):
             # checked like a process's declarations (each entry tag is the
@@ -482,21 +487,15 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
                     f"<advice> must wrap exactly one activity, found {len(child.children)}",
                     line=child.line,
                 )
-            advices.append((advice_type, _parse_activity(child.children[0])))
+            _parse_activity(child.children[0])  # checked, not kept
+            advices.append(advice_type)
         else:
             raise UnsupportedElement(f"unsupported element <{child.tag}> in <aspect>", line=child.line)
     if not pointcuts:
         raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=root.line)
     if len(advices) != 1:
         raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(advices)}", line=root.line)
-    advice_type, advice_body = advices[0]
-    return Aspect(
-        name=name,
-        pointcuts=tuple(pointcuts),
-        advice_type=advice_type,
-        advice_body=advice_body,
-        enabled=enabled,
-    )
+    return Aspect(name=name, pointcuts=tuple(pointcuts), advice_type=advices[0], enabled=enabled)
 
 
 def render_text(result, process: ProcessModel, color: bool = False) -> str:

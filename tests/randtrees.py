@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import random
 
-from adaptmeter import (
-    ADVICE_TYPES,
-    Activity,
-    AnalysisConfig,
-    BranchLabel,
-    ProcessModel,
-    VariabilityProfile,
-    is_join_point,
-    iter_activities,
-)
+from adaptmeter import Activity, AnalysisConfig, ProcessModel
+from adaptmeter.matching import VariabilityProfile
+from adaptmeter.model import ADVICE_TYPES, BranchLabel, is_join_point, iter_activities
 
 BASIC = ("receive", "invoke", "reply", "assign")
 STRUCTURED = ("sequence", "switch", "pick", "flow", "while")
@@ -140,7 +133,7 @@ def shuffle_with_profile(
     """
     types_by_leaf = {}
     for path, activity in iter_activities(process):
-        types = profile.advice_types(path)
+        types = frozenset(profile.raw_counts.get(path, ()))
         if types:
             types_by_leaf[id(activity)] = sorted(types, key=ADVICE_TYPES.index)
     shuffled = ProcessModel(

@@ -14,18 +14,13 @@ import sys
 import time
 from fractions import Fraction
 
-from adaptmeter import (
-    VariabilityProfile,
-    bind_aspects,
-    enumerate_slots,
-    find_join_points,
-    linear_weight_oracle,
-    match_selector,
-    parse_selector,
-    process_adaptability,
-    variability_value,
-)
+from adaptmeter import bind_aspects, process_adaptability
 from adaptmeter.cli import main
+from adaptmeter.matching import VariabilityProfile, match_selector
+from adaptmeter.metrics import linear_weight_oracle, variability_value
+from adaptmeter.model import find_join_points
+from adaptmeter.selectors import parse_selector
+from adaptmeter.sweep import enumerate_slots
 from conftest import FIXTURES_DIR, REPO_ROOT, SRC_DIR
 from randtrees import random_process, random_profile, shuffle_with_profile
 
@@ -67,7 +62,7 @@ def test_criterion_1_worked_example_reproduction(capsys, travel_process, travel_
 
 
 def test_criterion_2_extremes(travel_process, config):
-    empty = process_adaptability(travel_process, VariabilityProfile.empty(), config)
+    empty = process_adaptability(travel_process, VariabilityProfile(), config)
     assert empty.pam == Fraction(0)
     assert float(empty.pam) == 0.0
 

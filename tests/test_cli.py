@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 from adaptmeter.cli import _use_color, main
 from adaptmeter.parsing import load_aspects
 from adaptmeter.report import render_compare_text, render_text
-from conftest import FIXTURES_DIR, SRC_DIR
+from conftest import FIXTURES_DIR, REPO_ROOT, SRC_DIR
 
 TRAVEL = str(FIXTURES_DIR / "travel_booking.bpel")
 LINEAR = str(FIXTURES_DIR / "travel_booking_linear.bpel")
@@ -557,6 +558,13 @@ def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=check)
 
 
+def _readme_public_names() -> list[str]:
+    """The names listed under README's "Library use" as the package's exports."""
+    section = (REPO_ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n")[1].split("\n## ")[0]
+    listing = section.split("The package exports these", 1)[1].split("\n\n")[1]
+    return re.findall(r"`(\w+)`", listing)
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """Modules a fresh interpreter loads running ``code``, on top of what site preloads."""
     script = f"import sys\nbefore = set(sys.modules)\n{code}\nsys.stderr.write(' '.join(set(sys.modules) - before))"
@@ -614,11 +622,13 @@ class TestStartup:
         assert set(adaptmeter.__all__) | {"__version__"} <= set(listed)
 
     def test_every_public_name_resolves_and_star_import_binds_it(self):
+        documented = _readme_public_names()
+        assert len(documented) == len(set(documented))
         code = (
             "import adaptmeter\n"
             "namespace = {}\n"
             "exec('from adaptmeter import *', namespace)\n"
-            "assert len(adaptmeter.__all__) == 50\n"
+            f"assert adaptmeter.__all__ == {sorted(documented)!r}, adaptmeter.__all__\n"
             "for name in adaptmeter.__all__:\n"
             "    assert namespace[name] is getattr(adaptmeter, name), name\n"
             "assert not hasattr(adaptmeter, 'no_such_name')\n"
@@ -725,16 +735,18 @@ class TestColor:
         assert _use_color() is False
 
     def test_render_text_color_switch(self, travel_process, config):
-        from adaptmeter import VariabilityProfile, process_adaptability
+        from adaptmeter import process_adaptability
+        from adaptmeter.matching import VariabilityProfile
 
-        result = process_adaptability(travel_process, VariabilityProfile.empty(), config)
+        result = process_adaptability(travel_process, VariabilityProfile(), config)
         assert "\x1b[1m" in render_text(result, travel_process, color=True)
         assert "\x1b" not in render_text(result, travel_process, color=False)
 
     def test_render_compare_text_color_switch(self, travel_process, linear_process, config):
-        from adaptmeter import VariabilityProfile, process_adaptability
+        from adaptmeter import process_adaptability
+        from adaptmeter.matching import VariabilityProfile
 
-        left, right = (process_adaptability(process, VariabilityProfile.empty(), config)
+        left, right = (process_adaptability(process, VariabilityProfile(), config)
                        for process in (travel_process, linear_process))
         colored = render_compare_text(left, right, "a", "b", color=True)
         assert "\x1b[1mdelta (right - left) = +0.0000\x1b[0m" in colored.splitlines()

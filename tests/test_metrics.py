@@ -16,24 +16,19 @@ from fractions import Fraction
 import pytest
 
 from adaptmeter import (
-    ADVICE_TYPES,
     Activity,
-    ActivityPath,
     AnalysisConfig,
-    BranchLabel,
     NotAJoinPoint,
     ProcessModel,
     ReferenceTooSmall,
-    VariabilityProfile,
     bind_aspects,
-    find_join_points,
-    join_point_weights,
-    linear_weight_oracle,
     parse_aspect,
     process_adaptability,
-    variability_degree,
-    variability_value,
 )
+from adaptmeter.matching import VariabilityProfile
+from adaptmeter.metrics import join_point_weights, linear_weight_oracle, variability_degree, variability_value
+from adaptmeter.model import ADVICE_TYPES, BranchLabel, find_join_points
+from oracles import activity_path
 from randtrees import random_process, random_profile, shuffle_with_profile
 
 TRAVEL_VV = [0, 3, 2, 1, 0]
@@ -78,7 +73,7 @@ class TestVariabilityValue:
 
     def test_unbound_join_point_is_zero(self, travel_process, config):
         path = find_join_points(travel_process, config)[0][0]
-        assert variability_value(VariabilityProfile.empty(), path, config) == 0
+        assert variability_value(VariabilityProfile(), path, config) == 0
 
     def test_duplicate_before_advice_set_vs_raw(self, linear_process):
         aspects = [
@@ -103,9 +98,9 @@ class TestVariabilityValue:
         assert variability_value(profile, path, config) == 3
 
     def test_non_join_point_path_rejected(self, travel_process, config):
-        assign_path = ActivityPath.from_text("/process/sequence[0]/assign[1]")
+        assign_path = activity_path("/process/sequence[0]/assign[1]")
         with pytest.raises(NotAJoinPoint):
-            variability_value(VariabilityProfile.empty(), assign_path, config)
+            variability_value(VariabilityProfile(), assign_path, config)
 
 
 class TestVariabilityDegree:
@@ -151,13 +146,13 @@ class TestAggregate:
 
     def test_empty_flow_scores_zero(self, config):
         process = ProcessModel(name="p", root=Activity("flow"))
-        node = process_adaptability(process, VariabilityProfile.empty(), config).root
+        node = process_adaptability(process, VariabilityProfile(), config).root
         assert node.vd == 0
         assert node.n_used == 0
 
     def test_flow_of_assigns_scores_zero(self, config):
         flow = Activity("flow", children=(Activity("assign"), Activity("assign")))
-        node = process_adaptability(ProcessModel(name="p", root=flow), VariabilityProfile.empty(), config).root
+        node = process_adaptability(ProcessModel(name="p", root=flow), VariabilityProfile(), config).root
         assert node.vd == 0
         assert node.n_used == 0
 
@@ -182,7 +177,7 @@ class TestProcessAdaptability:
         assert result.process_name == "TravelBooking"
 
     def test_zero_aspects_means_zero(self, travel_process, config):
-        result = process_adaptability(travel_process, VariabilityProfile.empty(), config)
+        result = process_adaptability(travel_process, VariabilityProfile(), config)
         assert result.pam == 0
 
     def test_saturated_profile_reaches_one(self, travel_process, config):
@@ -214,7 +209,7 @@ class TestLinearWeightOracle:
         assert oracle == TRAVEL_PAM
 
     def test_zero_profile_scores_zero(self, travel_process, config):
-        assert linear_weight_oracle(travel_process, VariabilityProfile.empty(), config) == 0
+        assert linear_weight_oracle(travel_process, VariabilityProfile(), config) == 0
 
     def test_matches_aggregate_on_random_trees(self, config):
         rng = random.Random(31337)

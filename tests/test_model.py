@@ -6,20 +6,9 @@ import random
 
 import pytest
 
-from adaptmeter import (
-    Activity,
-    ActivityPath,
-    AnalysisConfig,
-    BranchLabel,
-    ConfigError,
-    ProcessModel,
-    StructuralError,
-    is_join_point,
-    iter_activities,
-    resolve_path,
-)
-from adaptmeter.model import ProcessIndex
-from oracles import is_ancestor_of, is_eligible_child, walk
+from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
+from adaptmeter.model import BranchLabel, ProcessIndex, is_join_point, iter_activities, resolve_path
+from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
 
 
@@ -66,24 +55,24 @@ class TestActivityPath:
 
     def test_text_round_trip(self, travel_process):
         for path, _ in iter_activities(travel_process):
-            assert ActivityPath.from_text(str(path)) == path
+            assert activity_path(str(path)) == path
 
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
-            ActivityPath.from_text("/process/")
+            activity_path("/process/")
         with pytest.raises(ValueError):
-            ActivityPath.from_text("sequence[0]")
+            activity_path("sequence[0]")
         with pytest.raises(ValueError):
-            ActivityPath.from_text("/process/sequence[x]")
+            activity_path("/process/sequence[x]")
 
     def test_resolve_rejects_unknown_paths(self, travel_process):
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath.from_text("/process/flow[0]"))
+            resolve_path(travel_process, activity_path("/process/flow[0]"))
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath.from_text("/process/sequence[0]/invoke[9]"))
+            resolve_path(travel_process, activity_path("/process/sequence[0]/invoke[9]"))
         # right index, wrong kind
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath.from_text("/process/sequence[0]/invoke[0]"))
+            resolve_path(travel_process, activity_path("/process/sequence[0]/invoke[0]"))
 
 
 class TestProcessIndex:
@@ -152,7 +141,7 @@ class TestEligibleChild:
     """The test oracle's eligibility rule; metrics derives the same from the index."""
 
     def test_switch_with_invoke_descendants_is_eligible(self, travel_process, config):
-        switch = resolve_path(travel_process, ActivityPath.from_text("/process/sequence[0]/switch[2]"))
+        switch = resolve_path(travel_process, activity_path("/process/sequence[0]/switch[2]"))
         assert is_eligible_child(switch, config)
 
     def test_lone_assign_is_not_eligible(self, config):

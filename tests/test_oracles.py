@@ -7,30 +7,21 @@ import random
 import pytest
 
 from adaptmeter import (
-    ADVICE_TYPES,
     Activity,
     AdaptMeterError,
     AnalysisConfig,
-    Aspect,
-    Pointcut,
-    PointcutSelector,
     ProcessModel,
     ReferenceTooSmall,
-    SelectorStep,
-    VariabilityProfile,
-    VariabilitySlot,
     bind_aspects,
-    enumerate_slots,
-    iter_activities,
-    join_point_weights,
-    match_selector,
-    parse_selector,
     process_adaptability,
-    render_selector,
-    sweep_case,
-    variability_value,
 )
+from adaptmeter.matching import VariabilityProfile, match_selector
+from adaptmeter.metrics import join_point_weights, variability_value
+from adaptmeter.model import ADVICE_TYPES, iter_activities
+from adaptmeter.parsing import Aspect, Pointcut
 from adaptmeter.report import render_text
+from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector, render_selector
+from adaptmeter.sweep import VariabilitySlot, enumerate_slots, sweep_case
 import oracles
 from randtrees import random_process
 
@@ -127,7 +118,7 @@ def _random_aspects(rng: random.Random, process, config: AnalysisConfig) -> list
     return [
         Aspect(f"aspect{rng.randrange(2)}",
                tuple(Pointcut(f"pc{rng.randrange(2)}", selector()) for _ in range(rng.randint(1, 3))),
-               rng.choice(ADVICE_TYPES), Activity("invoke"), enabled=rng.random() < 0.75)
+               rng.choice(ADVICE_TYPES), enabled=rng.random() < 0.75)
         for _ in range(rng.randint(1, 4))
     ]
 

@@ -11,23 +11,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adaptmeter import (
-    ADVICE_TYPES,
     Activity,
     AdaptMeterError,
     AnalysisConfig,
-    Aspect,
-    BranchLabel,
-    PointcutSelector,
     ProcessModel,
-    SelectorStep,
-    VariabilityProfile,
-    find_join_points,
-    match_selector,
     parse_aspect,
     parse_process,
     process_adaptability,
-    serialize_process,
 )
+from adaptmeter.matching import VariabilityProfile, match_selector
+from adaptmeter.model import ADVICE_TYPES, BranchLabel, find_join_points
+from adaptmeter.parsing import Aspect, serialize_process
+from adaptmeter.selectors import PointcutSelector, SelectorStep
 import oracles
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=100,

@@ -11,22 +11,20 @@ import pytest
 
 from adaptmeter import (
     Activity,
-    ActivityPath,
     AnalysisConfig,
-    BranchLabel,
-    JoinPointBinding,
     NodeVD,
     ProcessModel,
-    SweepCase,
-    VariabilitySlot,
     bind_aspects,
     parse_process,
-    parse_selector,
     process_adaptability,
     run_sweep,
 )
-from adaptmeter.model import ProcessIndex
+from adaptmeter.matching import JoinPointBinding
+from adaptmeter.model import ActivityPath, BranchLabel, ProcessIndex
+from adaptmeter.selectors import parse_selector
+from adaptmeter.sweep import SweepCase, VariabilitySlot
 from conftest import FIXTURES_DIR
+from oracles import activity_path
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +60,7 @@ def test_fields_cannot_be_assigned_or_deleted(records):
 
 
 def test_equal_records_have_equal_hashes():
-    path = ActivityPath.from_text("/process/sequence[0]/invoke[1]")
+    path = activity_path("/process/sequence[0]/invoke[1]")
     pairs = [
         (path, ActivityPath((("sequence", 0), ("invoke", 1)))),
         (AnalysisConfig(join_point_kinds=["invoke"]), AnalysisConfig(join_point_kinds=frozenset({"invoke"}))),

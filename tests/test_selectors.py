@@ -8,7 +8,8 @@ import time
 import pytest
 
 import oracles
-from adaptmeter import SelectorStep, SelectorSyntax, parse_selector, render_selector
+from adaptmeter import SelectorSyntax
+from adaptmeter.selectors import SelectorStep, parse_selector, render_selector
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
 

@@ -11,17 +11,16 @@ import pytest
 from adaptmeter import (
     Activity,
     AnalysisConfig,
-    BranchLabel,
     ProcessModel,
     ReferenceTooSmall,
-    VariabilityProfile,
-    enumerate_slots,
     exhaustive_sweep,
-    join_point_weights,
     process_adaptability,
     run_sweep,
-    sweep_case,
 )
+from adaptmeter.matching import VariabilityProfile
+from adaptmeter.metrics import join_point_weights
+from adaptmeter.model import BranchLabel
+from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
 
 NO_JOIN_POINTS = ProcessModel(name="inert", root=Activity("sequence", children=(Activity("assign"),)))
