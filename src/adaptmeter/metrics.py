@@ -139,8 +139,8 @@ def process_adaptability(
     """Evaluate the whole process: PAM is the root activity's VD."""
     index = process.index
     reference = config.reference_value
-    # The only VDs a join point or a basic activity can have, built once.
-    degrees = [Fraction(vv, reference) for vv in range(reference + 1)]
+    # The VD of each variability value that occurs, built once per value.
+    degrees = {0: Fraction(0)}
     size = len(index.paths)
     nodes: list[NodeVD | None] = [None] * size
     # VD(rank) == nums[rank] / dens[rank], so sums over children stay integer.
@@ -150,7 +150,9 @@ def process_adaptability(
     for rank, (path, activity) in enumerate(zip(index.paths, index.activities)):
         if is_join_point(activity, config):
             vv = variability_value(profile, path, config)
-            vd = degrees[vv] if vv <= reference else variability_degree(vv, reference)  # the latter raises
+            vd = degrees.get(vv)
+            if vd is None:  # raises ReferenceTooSmall when vv exceeds R
+                vd = degrees[vv] = variability_degree(vv, reference)
             nodes[rank] = NodeVD(path, activity.kind, vd, vv)
             nums[rank], dens[rank] = vv, reference
         elif activity.is_basic:

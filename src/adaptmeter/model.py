@@ -5,7 +5,9 @@ invoke, reply, assign) are atomic leaves; structured activities
 (sequence, switch, pick, flow, while) order their members and are the
 only nodes with children. Every node has a stable address of the form
 ``/process/sequence[0]/switch[2]/invoke[0]`` used as the key for advice
-bindings and per-node metric results.
+bindings and per-node metric results. The model keeps only what the
+metric and the selectors read: the XML syntax around the tree (branch
+wrappers, declaration sections) is checked by the parser, not kept.
 
 Every record of the package is an immutable slotted value object (see
 `Record`), so the model is safe to share across threads. Each process
@@ -25,9 +27,8 @@ STRUCTURED_KINDS = frozenset({"sequence", "switch", "pick", "flow", "while"})
 ACTIVITY_KINDS = BASIC_KINDS | STRUCTURED_KINDS
 
 # The structured kinds whose children are alternative branches rather
-# than co-executed members, and the elements that may wrap each branch.
-BRANCH_ELEMENTS = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
-BRANCHING_KINDS = frozenset(BRANCH_ELEMENTS)
+# than co-executed members.
+BRANCHING_KINDS = frozenset({"switch", "pick"})
 
 # Canonical advice-type order, used everywhere sets of advice types are
 # counted, enumerated, or displayed.
@@ -80,30 +81,16 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class BranchLabel(Record):
-    """Wrapper element of one switch/pick branch.
-
-    ``element`` is case, otherwise, onMessage, or onAlarm; ``attributes``
-    keeps the wrapper's own attributes (condition text, message or alarm
-    descriptor) verbatim. They are never evaluated.
-    """
-
-    __slots__ = ("element", "attributes")
-
-    def __init__(self, element: str, attributes: Mapping[str, str] | None = None) -> None:
-        _set(self, "element", element)
-        _set(self, "attributes", {} if attributes is None else attributes)
-
-
 class Activity(Record):
     """One node of the activity tree.
 
     ``attributes`` holds everything except ``name`` (e.g. ``operation``
-    and ``partnerLink`` on messaging activities). ``branch_labels`` is
-    set only on switch/pick and has one entry per child.
+    and ``partnerLink`` on messaging activities). A switch's or pick's
+    children are its branches; the <case>/<otherwise> or
+    <onMessage>/<onAlarm> elements that wrap them in XML are not kept.
     """
 
-    __slots__ = ("kind", "name", "attributes", "children", "branch_labels")
+    __slots__ = ("kind", "name", "attributes", "children")
 
     def __init__(
         self,
@@ -111,34 +98,17 @@ class Activity(Record):
         name: str | None = None,
         attributes: Mapping[str, str] | None = None,
         children: tuple[Activity, ...] = (),
-        branch_labels: tuple[BranchLabel, ...] | None = None,
     ) -> None:
         if kind not in ACTIVITY_KINDS:
             raise StructuralError(f"unknown activity kind <{kind}>")
-        if kind in BASIC_KINDS:
-            if children:
-                raise StructuralError(f"basic activity <{kind}> cannot have children")
-            if branch_labels is not None:
-                raise StructuralError(f"basic activity <{kind}> cannot have branch labels")
-        elif kind in BRANCHING_KINDS:
-            if not children:
-                raise StructuralError(f"<{kind}> requires at least one branch")
-            labels = branch_labels or ()
-            if len(labels) != len(children):
-                raise StructuralError(f"<{kind}> requires one branch label per child")
-            for label in labels:
-                if label.element not in BRANCH_ELEMENTS[kind]:
-                    raise StructuralError(f"<{label.element}> is not a valid <{kind}> branch")
-            if kind == "switch":
-                if sum(1 for label in labels if label.element == "otherwise") > 1:
-                    raise StructuralError("<switch> allows at most one <otherwise> branch")
-        elif branch_labels is not None:
-            raise StructuralError(f"<{kind}> does not take branch labels")
+        if kind in BASIC_KINDS and children:
+            raise StructuralError(f"basic activity <{kind}> cannot have children")
+        if kind in BRANCHING_KINDS and not children:
+            raise StructuralError(f"<{kind}> requires at least one branch")
         _set(self, "kind", kind)
         _set(self, "name", name)
         _set(self, "attributes", {} if attributes is None else attributes)
         _set(self, "children", children)
-        _set(self, "branch_labels", branch_labels)
 
     @property
     def is_basic(self) -> bool:
@@ -261,30 +231,22 @@ class ProcessIndex(Record):
 
 
 class ProcessModel(Record):
-    """A parsed process: declarations plus the rooted activity tree.
+    """A parsed process: its name and the rooted activity tree.
 
     ``attributes`` keeps the process element's own attributes other than
-    ``name`` so selector predicates can match against them.
+    ``name`` so selector predicates can match against them. The
+    <partnerLinks> and <variables> sections are not kept.
     """
 
-    __slots__ = ("name", "root", "partner_links", "variables", "attributes", "_index")
+    __slots__ = ("name", "root", "attributes", "_index")
 
-    def __init__(
-        self,
-        name: str,
-        root: Activity,
-        partner_links: tuple[tuple[str, Mapping[str, str]], ...] = (),
-        variables: tuple[tuple[str, Mapping[str, str]], ...] = (),
-        attributes: Mapping[str, str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, root: Activity, attributes: Mapping[str, str] | None = None) -> None:
         if not name:
             raise StructuralError("process requires a non-empty name")
         if not root.is_structured:
             raise StructuralError("process root activity must be structured")
         _set(self, "name", name)
         _set(self, "root", root)
-        _set(self, "partner_links", partner_links)
-        _set(self, "variables", variables)
         _set(self, "attributes", {} if attributes is None else attributes)
 
     @property

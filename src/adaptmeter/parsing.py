@@ -4,7 +4,9 @@ Matching is namespace-blind: element and attribute names are reduced to
 their local part, so both bare listings and engine-exported documents
 parse the same way. Elements in activity position must be one of the
 nine supported kinds; the inner content of basic activities (copy
-specs, payload literals) is treated as opaque and ignored.
+specs, payload literals) is treated as opaque and ignored. Switch and
+pick branch wrappers, with their conditions, and the <partnerLinks> and
+<variables> sections are checked but not kept.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from xml.parsers import expat
 
 from .errors import AdaptMeterError, BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError
 from .errors import UnsupportedElement
-from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, BRANCH_ELEMENTS, STRUCTURED_KINDS, Activity, BranchLabel
-from .model import ProcessModel, Record, _set
+from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, Activity, ProcessModel, Record, _set
 
 if TYPE_CHECKING:
     import os
@@ -49,6 +50,8 @@ class Aspect(Record):
         _set(self, "enabled", enabled)
 
 
+# The elements that may wrap each branch of a switch or pick.
+BRANCH_ELEMENTS = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAlarm")}
 _ENABLED = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -62,10 +65,9 @@ def _wrap_error(tag: str, line: int, found: int) -> StructuralError:
 _ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT = range(8)
 # An open element's frame is a list with these slots. _NAME holds its name
 # attribute and _ATTRS its other attributes, but an aspect's _ATTRS holds
-# its enabled flag. _KIDS collects its content: activities, section
-# entries, pointcuts or a pointcut's text. _MORE collects a branching
-# activity's branch labels, a process's root-activity lines or an
-# aspect's advice types.
+# its enabled flag. _KIDS collects its content: activities, pointcuts or a
+# pointcut's text. _MORE collects a branching activity's wrapper tags, a
+# process's root-activity lines or an aspect's advice types.
 _ROLE, _TAG, _LINE, _NAME, _ATTRS, _KIDS, _MORE = range(7)
 _SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
 _DRAINED = (None,)  # the frame of an element read after the first error
@@ -93,7 +95,6 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         from .selectors import parse_selector
     parser = expat.ParserCreate()
     stack: list = [[_DOCUMENT, None, 0, None, None, [], None]]
-    sections = {tag: [] for tag in _SECTIONS}
     skip = 0  # open elements inside opaque content: basic activities, declarations, pointcut children
     error: AdaptMeterError | None = None
     result = None
@@ -141,7 +142,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
             elif role >= _ROOT:
                 line = parser.CurrentLineNumber
                 if role <= _ASPECT and tag in _SECTIONS:
-                    stack.append([_SECTION, tag, line, None, None, sections[tag], None])
+                    stack.append([_SECTION, tag, line, None, None, None, None])
                 elif role == _ASPECT and tag == "pointcut":
                     name = attrs.get("name") or f"pointcut{len(parent[_KIDS]) + 1}"
                     stack.append([_POINTCUT, tag, line, name, None, [], None])
@@ -158,11 +159,10 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                     if tag not in allowed:
                         raise UnsupportedElement(f"<{parent[_TAG]}> branches must be "
                                                  f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>", line=line)
-                    stack.append([_WRAPPER, tag, line, None, attrs, [], None])
+                    stack.append([_WRAPPER, tag, line, None, None, [], None])
                 elif role == _SECTION:
                     if tag != _SECTIONS[parent[_TAG]]:
                         raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[_TAG]}>", line=line)
-                    parent[_KIDS].append((attrs.pop("name", ""), attrs))
                     skip = 1
                 elif role == _POINTCUT:
                     parser.CharacterDataHandler = None
@@ -207,9 +207,10 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         parent = stack[-1]
         try:
             if role == _ACTIVITY or role == _BRANCHING:
+                if more.count("otherwise") > 1:
+                    raise StructuralError("<switch> allows at most one <otherwise> branch", line=line)
                 try:
-                    activity = Activity(tag, name, attributes, tuple(children),
-                                        tuple(more) if role == _BRANCHING else None)
+                    activity = Activity(tag, name, attributes, tuple(children))
                 except StructuralError as exc:
                     exc.line = line
                     raise
@@ -218,7 +219,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 if len(children) != 1:
                     raise _wrap_error(tag, line, len(children))
                 if parent[_ROLE] == _BRANCHING:
-                    parent[_MORE].append(BranchLabel(tag, attributes))
+                    parent[_MORE].append(tag)
                     parent[_KIDS].append(children[0])
                 else:  # an <advice>: its activity is checked, not kept
                     parent[_MORE].append(attributes["type"])
@@ -235,8 +236,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 if children[0].kind not in STRUCTURED_KINDS:
                     raise StructuralError(f"process root activity must be structured, got <{children[0].kind}>",
                                           line=more[0])
-                result = ProcessModel(name, children[0], tuple(sections["partnerLinks"]), tuple(sections["variables"]),
-                                      attributes)
+                result = ProcessModel(name, children[0], attributes)
             elif role == _ASPECT:
                 if not children:
                     raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=line)
@@ -273,8 +273,8 @@ def parse_process(source: str | IO[str]) -> ProcessModel:
     """Parse a process document into a ProcessModel.
 
     The document root must be <process> with a non-empty name, holding
-    optional <partnerLinks> and <variables> sections and exactly one
-    structured root activity.
+    optional <partnerLinks> and <variables> sections, which are checked
+    but not kept, and exactly one structured root activity.
     """
     return _build(source if isinstance(source, str) else source.read(), "process")
 
@@ -362,10 +362,10 @@ def _emit_activity(root: Activity, indent: int, lines: list[str]) -> None:
             continue
         lines.append(f"{pad}<{activity.kind}{attrs}>")
         stack.append(f"{pad}</{activity.kind}>")
-        if activity.branch_labels is not None:
-            for label, child in reversed(tuple(zip(activity.branch_labels, activity.children))):
-                wrapper_attrs = _attr_text(dict(label.attributes))
-                stack += (f"{pad}  </{label.element}>", (child, indent + 2), f"{pad}  <{label.element}{wrapper_attrs}>")
+        if activity.kind in BRANCH_ELEMENTS:
+            wrapper = BRANCH_ELEMENTS[activity.kind][0]
+            for child in reversed(activity.children):
+                stack += (f"{pad}  </{wrapper}>", (child, indent + 2), f"{pad}  <{wrapper}>")
         else:
             stack += ((child, indent + 1) for child in reversed(activity.children))
 
@@ -373,20 +373,13 @@ def _emit_activity(root: Activity, indent: int, lines: list[str]) -> None:
 def serialize_process(process: ProcessModel) -> str:
     """Canonical XML form: two-space indent, attributes sorted by name.
 
-    Re-parsing the output yields a structurally equal ProcessModel.
+    Each switch branch is wrapped in a bare <case>, each pick branch in a
+    bare <onMessage>, and no declaration section is written: the model
+    keeps neither. Re-parsing the output yields an equal ProcessModel.
     """
     lines = ['<?xml version="1.0" encoding="utf-8"?>']
     attrs = _attr_text(_named_attrs(process.name, process.attributes))
     lines.append(f"<process{attrs}>")
-    for section, entry_tag, entries in (
-        ("partnerLinks", "partnerLink", process.partner_links),
-        ("variables", "variable", process.variables),
-    ):
-        if entries:
-            lines.append(f"  <{section}>")
-            for entry_name, entry_attrs in entries:
-                lines.append(f"    <{entry_tag}{_attr_text(_named_attrs(entry_name or None, entry_attrs))}/>")
-            lines.append(f"  </{section}>")
     _emit_activity(process.root, 1, lines)
     lines.append("</process>")
     return "\n".join(lines) + "\n"

@@ -97,11 +97,19 @@ def parse_selector(text: str) -> PointcutSelector:
 
 
 def render_selector(selector: PointcutSelector) -> str:
-    """Canonical text form; parse_selector(render_selector(s)) == s."""
+    """Canonical text form; parse_selector(render_selector(s)) == s.
+
+    The grammar has no escape, so a predicate value holding both quote
+    characters, which only a step built in Python can have, raises
+    SelectorSyntax.
+    """
     parts = []
     for step in selector.steps:
         parts.append(f"//{step.element}")
         for attribute, value in step.predicates:
             quote = "'" if '"' in value else '"'
+            if quote in value:
+                raise SelectorSyntax(f"predicate value {value!r} holds both quote characters, which no selector "
+                                     f"text can write")
             parts.append(f"[@{attribute}={quote}{value}{quote}]")
     return "".join(parts)

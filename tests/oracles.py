@@ -25,7 +25,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.metrics import variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, BranchLabel, is_join_point
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, is_join_point
 from adaptmeter.parsing import Aspect, Pointcut
 from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector
 
@@ -336,17 +336,13 @@ def _load_xml(text: str) -> _XmlNode:
     return root[0]
 
 
-def _parse_declarations(container: _XmlNode, entry_tag: str) -> list[tuple[str, dict[str, str]]]:
-    entries = []
+def _check_declarations(container: _XmlNode, entry_tag: str) -> None:
     for child in container.children:
         if child.tag != entry_tag:
             raise UnsupportedElement(f"unsupported element <{child.tag}> in <{container.tag}>", line=child.line)
-        attributes = dict(child.attributes)
-        entries.append((attributes.pop("name", ""), attributes))
-    return entries
 
 
-def _frame(node: _XmlNode) -> tuple[_XmlNode, list[Activity], list[BranchLabel]]:
+def _frame(node: _XmlNode) -> tuple[_XmlNode, list[Activity], list[str]]:
     if node.tag not in ACTIVITY_KINDS:
         raise UnsupportedElement(f"<{node.tag}> is not a supported activity", line=node.line)
     return node, [], []
@@ -356,10 +352,10 @@ def _parse_activity(root: _XmlNode) -> Activity:
     """Build the activity under ``root`` without recursion, so nesting depth is unbounded."""
     # Elements are checked in document order and activities built bottom-up, as in a
     # recursive descent, so a bad document fails at the same element. A frame holds an
-    # element and the activities and branch labels of its children built so far.
+    # element, the activities of its children built so far and their branch wrapper tags.
     stack = [_frame(root)]
     while True:
-        node, children, labels = stack[-1]
+        node, children, wrappers = stack[-1]
         if node.tag not in BASIC_KINDS and len(children) < len(node.children):
             child = node.children[len(children)]
             if node.tag in BRANCHING_KINDS:
@@ -375,16 +371,17 @@ def _parse_activity(root: _XmlNode) -> Activity:
                         f"<{child.tag}> must wrap exactly one activity, found {len(child.children)}",
                         line=child.line,
                     )
-                labels.append(BranchLabel(child.tag, dict(child.attributes)))
+                wrappers.append(child.tag)
                 child = child.children[0]
             stack.append(_frame(child))
             continue
         stack.pop()
         attributes = dict(node.attributes)
         name = attributes.pop("name", None)
-        branch_labels = tuple(labels) if node.tag in BRANCHING_KINDS else None
+        if wrappers.count("otherwise") > 1:
+            raise StructuralError("<switch> allows at most one <otherwise> branch", line=node.line)
         try:
-            activity = Activity(node.tag, name, attributes, tuple(children), branch_labels)
+            activity = Activity(node.tag, name, attributes, tuple(children))
         except StructuralError as exc:
             exc.line = node.line
             raise
@@ -397,8 +394,8 @@ def parse_process_two_pass(text: str) -> ProcessModel:
     """Parse a process document into a ProcessModel.
 
     The document root must be <process> with a non-empty name, holding
-    optional <partnerLinks> and <variables> sections and exactly one
-    structured root activity.
+    optional <partnerLinks> and <variables> sections, which are checked
+    but not kept, and exactly one structured root activity.
     """
     root = _load_xml(text)
     if root.tag != "process":
@@ -406,14 +403,10 @@ def parse_process_two_pass(text: str) -> ProcessModel:
     name = root.attributes.get("name", "")
     if not name:
         raise StructuralError("<process> requires a non-empty name attribute", line=root.line)
-    partner_links: list[tuple[str, dict[str, str]]] = []
-    variables: list[tuple[str, dict[str, str]]] = []
     body: list[tuple[Activity, int]] = []
     for child in root.children:
-        if child.tag == "partnerLinks":
-            partner_links.extend(_parse_declarations(child, "partnerLink"))
-        elif child.tag == "variables":
-            variables.extend(_parse_declarations(child, "variable"))
+        if child.tag in ("partnerLinks", "variables"):
+            _check_declarations(child, child.tag[:-1])  # each entry tag is the section tag without its "s"
         elif child.tag in ACTIVITY_KINDS:
             body.append((_parse_activity(child), child.line))
         else:
@@ -424,13 +417,7 @@ def parse_process_two_pass(text: str) -> ProcessModel:
     if activity.kind not in STRUCTURED_KINDS:
         raise StructuralError(f"process root activity must be structured, got <{activity.kind}>", line=line)
     attributes = {key: value for key, value in root.attributes.items() if key != "name"}
-    return ProcessModel(
-        name=name,
-        root=activity,
-        partner_links=tuple(partner_links),
-        variables=tuple(variables),
-        attributes=attributes,
-    )
+    return ProcessModel(name=name, root=activity, attributes=attributes)
 
 
 _TRUE_WORDS = frozenset({"true", "1", "yes"})
@@ -465,9 +452,7 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
     advices: list[str] = []
     for child in root.children:
         if child.tag in ("partnerLinks", "variables"):
-            # checked like a process's declarations (each entry tag is the
-            # section tag without its "s"), but not kept
-            _parse_declarations(child, child.tag[:-1])
+            _check_declarations(child, child.tag[:-1])
         elif child.tag == "pointcut":
             pointcut_name = child.attributes.get("name") or f"pointcut{len(pointcuts) + 1}"
             try:

@@ -6,7 +6,7 @@ import random
 
 from adaptmeter import Activity, AnalysisConfig, ProcessModel
 from adaptmeter.matching import VariabilityProfile
-from adaptmeter.model import ADVICE_TYPES, BranchLabel, is_join_point, iter_activities
+from adaptmeter.model import ADVICE_TYPES, is_join_point, iter_activities
 
 BASIC = ("receive", "invoke", "reply", "assign")
 STRUCTURED = ("sequence", "switch", "pick", "flow", "while")
@@ -56,19 +56,14 @@ def _subtree(
         child, child_used = _subtree(rng, depth + 1, child_cap, max_depth)
         children.append(child)
         used += child_used
-    labels = None
+    # Draws that once chose branch wrappers, which the model no longer
+    # keeps; still made so that every seed yields the same tree.
     if kind == "switch":
-        labels = [BranchLabel("case", {"condition": f"cond{i}"}) for i in range(n)]
-        if rng.random() < 0.5:
-            labels[-1] = BranchLabel("otherwise")
+        rng.random()
     elif kind == "pick":
-        labels = [
-            BranchLabel("onMessage", {"operation": f"msg{i}"})
-            if rng.random() < 0.7
-            else BranchLabel("onAlarm", {"for": f"PT{i}S"})
-            for i in range(n)
-        ]
-    return Activity(kind, children=tuple(children), branch_labels=tuple(labels) if labels else None), used
+        for _ in range(n):
+            rng.random()
+    return Activity(kind, children=tuple(children)), used
 
 
 def _has_messaging(activity: Activity) -> bool:
@@ -87,14 +82,14 @@ def _with_live_branches(activity: Activity) -> Activity:
         if activity.kind in ("switch", "pick") and not _has_messaging(child):
             child = _inject_messaging(child)
         children[index] = child
-    return Activity(activity.kind, activity.name, activity.attributes, tuple(children), activity.branch_labels)
+    return Activity(activity.kind, activity.name, activity.attributes, tuple(children))
 
 
 def _inject_messaging(activity: Activity) -> Activity:
     if activity.is_basic:
         return Activity("invoke", activity.name, dict(activity.attributes))
     children = (_inject_messaging(activity.children[0]),) + activity.children[1:]
-    return Activity(activity.kind, activity.name, activity.attributes, children, activity.branch_labels)
+    return Activity(activity.kind, activity.name, activity.attributes, children)
 
 
 def random_profile(
@@ -118,9 +113,7 @@ def shuffled_clone(activity: Activity, rng: random.Random) -> Activity:
     order = list(range(len(activity.children)))
     rng.shuffle(order)
     children = tuple(shuffled_clone(activity.children[i], rng) for i in order)
-    labels = activity.branch_labels
-    shuffled_labels = tuple(labels[i] for i in order) if labels is not None else None
-    return Activity(activity.kind, activity.name, activity.attributes, children, shuffled_labels)
+    return Activity(activity.kind, activity.name, activity.attributes, children)
 
 
 def shuffle_with_profile(
@@ -136,13 +129,7 @@ def shuffle_with_profile(
         types = frozenset(profile.raw_counts.get(path, ()))
         if types:
             types_by_leaf[id(activity)] = sorted(types, key=ADVICE_TYPES.index)
-    shuffled = ProcessModel(
-        name=process.name,
-        root=shuffled_clone(process.root, rng),
-        partner_links=process.partner_links,
-        variables=process.variables,
-        attributes=process.attributes,
-    )
+    shuffled = ProcessModel(name=process.name, root=shuffled_clone(process.root, rng), attributes=process.attributes)
     assignments = [
         (path, advice_type)
         for path, activity in iter_activities(shuffled)

@@ -87,6 +87,45 @@ class TestAnalyze:
         pam = json.loads(json_out)["pam"]
         assert f"PAM = {pam:.4f}" in text_out
 
+    def test_branch_wrappers_and_declarations_are_not_kept(self, tmp_path, capsys):
+        from adaptmeter import parse_process
+
+        body = (
+            '<sequence><switch name="s">{case}<invoke name="a"/>{end_case}{other}<reply name="b"/>{end_other}'
+            '</switch><pick name="k">{message}<receive name="c"/>{end_message}{alarm}<invoke name="d"/>'
+            "{end_alarm}</pick></sequence>"
+        )
+        first = (
+            '<process name="p"><partnerLinks><partnerLink name="client" myRole="r"/></partnerLinks>'
+            '<variables><variable name="v" messageType="m"/></variables>'
+            + body.format(case='<case condition="a">', end_case="</case>",
+                          other="<otherwise>", end_other="</otherwise>",
+                          message='<onMessage operation="m">', end_message="</onMessage>",
+                          alarm="<onAlarm>", end_alarm="</onAlarm>")
+            + "</process>"
+        )
+        second = (
+            '<process name="p"><variables/>'
+            + body.format(case="<otherwise>", end_case="</otherwise>",
+                          other='<case condition="b">', end_other="</case>",
+                          message='<onAlarm for="PT1S">', end_message="</onAlarm>",
+                          alarm='<onMessage partnerLink="x">', end_alarm="</onMessage>")
+            + "</process>"
+        )
+        assert parse_process(first) == parse_process(second)
+        aspect = tmp_path / "aspect.xml"
+        aspect.write_text('<aspect name="A"><pointcut>//switch//invoke</pointcut><pointcut>//pick//receive'
+                          '</pointcut><advice type="before"><invoke/></advice></aspect>')
+        outputs = []
+        for index, text in enumerate((first, second)):
+            (tmp_path / str(index)).mkdir()
+            process = tmp_path / str(index) / "p.bpel"
+            process.write_text(text)
+            outputs.append([run_cli(capsys, "analyze", str(process), "--aspects", str(aspect), *fmt)
+                            for fmt in ((), ("--format", "json"))])
+        assert outputs[0] == outputs[1]
+        assert "PAM = 0.1667 (1/6)" in outputs[0][0][1]
+
     def test_missing_file_exits_2_with_empty_stdout(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "no_such_file.bpel")
         assert code == 2

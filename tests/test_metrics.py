@@ -11,6 +11,7 @@ the product of ancestor divisors, are [1/4, 1/8, 1/8, 1/4, 1/4].
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights, linear_weight_oracle, variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, BranchLabel, find_join_points
+from adaptmeter.model import ADVICE_TYPES, find_join_points
 from oracles import activity_path
 from randtrees import random_process, random_profile, shuffle_with_profile
 
@@ -197,6 +198,19 @@ class TestProcessAdaptability:
         with pytest.raises(ReferenceTooSmall):
             process_adaptability(travel_process, profile, small_r)
 
+    def test_cost_does_not_grow_with_the_reference_value(self, travel_process, travel_aspects):
+        config = AnalysisConfig(reference_value=10**6)
+        profile = bind_aspects(travel_process, travel_aspects, config)
+        travel_process.index  # built outside the measurement
+        tracemalloc.start()
+        try:
+            result = process_adaptability(travel_process, profile, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.pam == Fraction(7, 8 * 10**6)
+        assert peak < 2**20
+
 
 class TestLinearWeightOracle:
     def test_travel_weights_match_hand_expansion(self, travel_process, config):
@@ -284,11 +298,7 @@ class TestMetricProperties:
         root = Activity(
             "sequence",
             children=(
-                Activity(
-                    "switch",
-                    children=(Activity("invoke"), Activity("assign")),
-                    branch_labels=(BranchLabel("case", {"condition": "c"}), BranchLabel("otherwise")),
-                ),
+                Activity("switch", children=(Activity("invoke"), Activity("assign"))),
             ),
         )
         process = ProcessModel(name="dead-branch", root=root)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
-from adaptmeter.model import BranchLabel, ProcessIndex, is_join_point, iter_activities, resolve_path
+from adaptmeter.model import ProcessIndex, is_join_point, iter_activities, resolve_path
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
 
@@ -190,27 +190,6 @@ class TestActivityInvariants:
         with pytest.raises(StructuralError):
             Activity("switch")
 
-    def test_switch_requires_label_per_child(self):
-        with pytest.raises(StructuralError):
-            Activity("switch", children=(Activity("invoke"),))
-
-    def test_switch_allows_single_otherwise_only(self):
-        labels = (BranchLabel("otherwise"), BranchLabel("otherwise"))
-        children = (Activity("invoke"), Activity("invoke"))
-        with pytest.raises(StructuralError):
-            Activity("switch", children=children, branch_labels=labels)
-
-    def test_pick_branches_must_be_events(self):
-        with pytest.raises(StructuralError):
-            Activity("pick", children=(Activity("invoke"),), branch_labels=(BranchLabel("case"),))
-
-    def test_basic_activity_cannot_have_branch_labels(self):
-        with pytest.raises(StructuralError, match="cannot have branch labels"):
-            Activity("invoke", branch_labels=())
-
-    def test_sequence_takes_no_branch_labels(self):
-        with pytest.raises(StructuralError):
-            Activity("sequence", children=(Activity("invoke"),), branch_labels=(BranchLabel("case"),))
 
 
 class TestProcessModelInvariants:

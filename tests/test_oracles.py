@@ -155,7 +155,7 @@ def _decorated(rng: random.Random, activity: Activity) -> Activity:
              for attribute, values in ATTRIBUTE_VALUES.items() if rng.random() < 0.5}
     name = drawn.pop("name", None)
     children = tuple(_decorated(rng, child) for child in activity.children)
-    return Activity(activity.kind, name, drawn, children, activity.branch_labels)
+    return Activity(activity.kind, name, drawn, children)
 
 
 def _conjunctive_step(rng: random.Random, process, element: str) -> SelectorStep:

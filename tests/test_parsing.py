@@ -40,21 +40,8 @@ class TestParseProcess:
         operations = [child.attributes.get("operation") for child in root.children if child.kind == "invoke"]
         assert operations == ["bookFlight", "bookHotel"]
 
-    def test_declarations_captured_verbatim(self, travel_process):
-        names = [name for name, _ in travel_process.partner_links]
-        assert names == ["client", "airline", "hotel"]
-        _, airline_attrs = travel_process.partner_links[1]
-        assert airline_attrs == {"partnerLinkType": "airlineLT", "partnerRole": "airlineService"}
-        assert [name for name, _ in travel_process.variables] == ["clientRequest", "travelPackage"]
-
     def test_process_attributes_kept(self, travel_process):
         assert travel_process.attributes == {"targetNamespace": "urn:example:travel"}
-
-    def test_branch_labels(self, travel_process):
-        switch = travel_process.root.children[2]
-        assert switch.kind == "switch"
-        assert [label.element for label in switch.branch_labels] == ["case", "otherwise"]
-        assert "domestic" in switch.branch_labels[0].attributes["condition"]
 
     def test_minimal_process(self):
         process = parse_process(MINIMAL_PROCESS)
@@ -146,9 +133,11 @@ class TestParseProcess:
         assert excinfo.value.line == 5
 
     def test_pick_branch_elements_checked(self):
-        doc = '<process name="p"><sequence><pick><case condition="c"><invoke/></case></pick></sequence></process>'
-        with pytest.raises(UnsupportedElement):
+        doc = '<process name="p"><sequence><pick>\n<case condition="c"><invoke/></case></pick></sequence></process>'
+        with pytest.raises(UnsupportedElement) as excinfo:
             parse_process(doc)
+        assert str(excinfo.value) == "<pick> branches must be <onMessage> or <onAlarm>, got <case>"
+        assert excinfo.value.line == 2
 
     def test_namespace_prefixes_ignored(self):
         doc = (
@@ -341,16 +330,38 @@ class TestSerializeProcess:
             assert parse_process(serialize_process(process)) == process
 
     def test_canonical_form(self):
-        doc = '<process name="p"><sequence><invoke operation="book" partnerLink="airline" name="call"/></sequence></process>'
+        doc = (
+            '<process name="p"><partnerLinks><partnerLink name="airline"/></partnerLinks><sequence>'
+            '<invoke operation="book" partnerLink="airline" name="call"/>'
+            '<switch name="s"><case condition="c"><reply/></case><otherwise><flow><assign/></flow></otherwise></switch>'
+            '<pick><onAlarm for="PT1S"><receive/></onAlarm></pick>'
+            "</sequence></process>"
+        )
         expected = (
             '<?xml version="1.0" encoding="utf-8"?>\n'
             '<process name="p">\n'
             "  <sequence>\n"
             '    <invoke name="call" operation="book" partnerLink="airline"/>\n'
+            '    <switch name="s">\n'
+            "      <case>\n"
+            "        <reply/>\n"
+            "      </case>\n"
+            "      <case>\n"
+            "        <flow>\n"
+            "          <assign/>\n"
+            "        </flow>\n"
+            "      </case>\n"
+            "    </switch>\n"
+            "    <pick>\n"
+            "      <onMessage>\n"
+            "        <receive/>\n"
+            "      </onMessage>\n"
+            "    </pick>\n"
             "  </sequence>\n"
             "</process>\n"
         )
         assert serialize_process(parse_process(doc)) == expected
+        assert parse_process(expected) == parse_process(doc)
 
     def test_canonical_form_escapes_attribute_values(self):
         doc = (

@@ -20,7 +20,7 @@ from adaptmeter import (
     process_adaptability,
 )
 from adaptmeter.matching import VariabilityProfile, match_selector
-from adaptmeter.model import ADVICE_TYPES, BranchLabel, find_join_points
+from adaptmeter.model import ADVICE_TYPES, find_join_points
 from adaptmeter.parsing import Aspect, serialize_process
 from adaptmeter.selectors import PointcutSelector, SelectorStep
 import oracles
@@ -34,23 +34,14 @@ NAMES = (None, "n0", "n1")
 OPERATIONS = ("op0", "op1")
 
 
-def _structured(kind: str, name: str | None, children: list[Activity]) -> Activity:
-    labels = None
-    if kind == "switch":
-        labels = tuple(BranchLabel("case", {"condition": f"c{i}"}) for i in range(len(children)))
-    elif kind == "pick":
-        labels = tuple(BranchLabel("onMessage" if i % 2 else "onAlarm") for i in range(len(children)))
-    return Activity(kind, name, {}, tuple(children), labels)
-
-
 _basic = st.builds(
     lambda kind, name, operation: Activity(kind, name, {"operation": operation} if operation else {}),
     st.sampled_from(BASIC), st.sampled_from(NAMES), st.sampled_from((None, *OPERATIONS)),
 )
 activities = st.recursive(
     _basic,
-    lambda inner: st.builds(_structured, st.sampled_from(STRUCTURED), st.sampled_from(NAMES),
-                            st.lists(inner, min_size=1, max_size=3)),
+    lambda inner: st.builds(lambda kind, name, children: Activity(kind, name, {}, tuple(children)),
+                            st.sampled_from(STRUCTURED), st.sampled_from(NAMES), st.lists(inner, min_size=1, max_size=3)),
     max_leaves=12,
 )
 processes = activities.map(

@@ -20,7 +20,7 @@ from adaptmeter import (
     run_sweep,
 )
 from adaptmeter.matching import JoinPointBinding
-from adaptmeter.model import ActivityPath, BranchLabel, ProcessIndex
+from adaptmeter.model import ActivityPath, ProcessIndex
 from adaptmeter.selectors import parse_selector
 from adaptmeter.sweep import SweepCase, VariabilitySlot
 from conftest import FIXTURES_DIR
@@ -38,14 +38,14 @@ def records(travel_process, travel_aspects):
     selector = aspect.pointcuts[0].selector
     switch = travel_process.root.children[2]
     return [
-        switch.branch_labels[0], switch, result.root.path, travel_process.index, travel_process, config,
+        switch, result.root.path, travel_process.index, travel_process, config,
         selector.steps[0], selector, aspect.pointcuts[0], aspect, profile.bindings[0], profile,
         result.root, result, sweep.cases[0].order[0], sweep.cases[0], sweep,
     ]
 
 
 def test_every_record_type_is_covered(records):
-    assert len({type(record) for record in records}) == 17
+    assert len({type(record) for record in records}) == 16
 
 
 def test_fields_cannot_be_assigned_or_deleted(records):
@@ -81,7 +81,7 @@ def test_equal_records_have_equal_hashes():
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_records_round_trip_through_pickle_and_copy(records, clone):
-    process, config, result, sweep = records[4], records[5], records[13], records[16]
+    process, config, result, sweep = records[3], records[4], records[12], records[15]
     for record in (process, config, result, sweep):
         twin = clone(record)
         assert type(twin) is type(record)
@@ -136,7 +136,6 @@ def test_filled_postings_leave_the_process_value_unchanged(travel_aspects):
 def test_omitted_attributes_are_a_fresh_empty_dict():
     first, second = Activity("invoke"), Activity("invoke")
     assert first.attributes == {} and first.attributes is not second.attributes
-    assert BranchLabel("case").attributes == {}
     assert ProcessModel("p", Activity("sequence")).attributes == {}
 
 

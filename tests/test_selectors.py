@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from adaptmeter import SelectorSyntax
-from adaptmeter.selectors import SelectorStep, parse_selector, render_selector
+from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector, render_selector
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
 
@@ -92,6 +92,13 @@ class TestRenderSelector:
         rendered = render_selector(selector)
         assert "'say \"hi\"'" in rendered
         assert parse_selector(rendered) == selector
+
+    def test_render_refuses_a_value_with_both_quotes(self):
+        value = 'it\'s "x"'
+        selector = PointcutSelector((SelectorStep("invoke", (("name", value),)),))
+        with pytest.raises(SelectorSyntax, match="both quote characters") as excinfo:
+            render_selector(selector)
+        assert repr(value) in str(excinfo.value)
 
     def test_str_is_the_rendered_text(self):
         selector = parse_selector(FLIGHT_SELECTOR)

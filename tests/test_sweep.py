@@ -19,7 +19,6 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
-from adaptmeter.model import BranchLabel
 from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
 
@@ -49,9 +48,7 @@ def _process_with_join_points(rng, count):
         size = rng.randint(1, min(4, len(nodes)))
         at = rng.randrange(len(nodes) - size + 1)
         kind = rng.choice(("sequence", "flow", "while", "switch", "pick"))
-        wrapper = {"switch": "case", "pick": "onAlarm"}.get(kind)
-        labels = (BranchLabel(wrapper),) * size if wrapper else None
-        nodes[at:at + size] = [Activity(kind, children=tuple(nodes[at:at + size]), branch_labels=labels)]
+        nodes[at:at + size] = [Activity(kind, children=tuple(nodes[at:at + size]))]
     return ProcessModel(name=f"grouped{count}", root=nodes[0])
 
 
