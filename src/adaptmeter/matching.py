@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .errors import BadAdviceType
 from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
 
 if TYPE_CHECKING:
@@ -27,6 +28,8 @@ class JoinPointBinding(Record):
     __slots__ = ("aspect_name", "pointcut_name", "path", "advice_type")
 
     def __init__(self, aspect_name: str, pointcut_name: str, path: ActivityPath, advice_type: str) -> None:
+        if advice_type not in ADVICE_TYPES:
+            raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}")
         _set(self, "aspect_name", aspect_name)
         _set(self, "pointcut_name", pointcut_name)
         _set(self, "path", path)

@@ -40,59 +40,53 @@ if TYPE_CHECKING:
 
 
 class NodeVD(Record):
-    """Per-node metric result.
+    """Metric result of one activity.
 
     ``vv`` is set on join points only; ``n_used`` is the divisor a
     structured node applied (branch count, or eligible-child count).
     """
 
-    __slots__ = ("path", "kind", "vd", "vv", "n_used", "children")
+    __slots__ = ("path", "vd", "vv", "n_used")
 
-    def __init__(
-        self,
-        path: ActivityPath,
-        kind: str,
-        vd: Fraction,
-        vv: int | None = None,
-        n_used: int | None = None,
-        children: tuple[NodeVD, ...] = (),
-    ) -> None:
+    def __init__(self, path: ActivityPath, vd: Fraction, vv: int | None = None, n_used: int | None = None) -> None:
         _set(self, "path", path)
-        _set(self, "kind", kind)
         _set(self, "vd", vd)
         _set(self, "vv", vv)
         _set(self, "n_used", n_used)
-        _set(self, "children", children)
+
+    @property
+    def kind(self) -> str:
+        return self.path.kind
 
     @property
     def join_point(self) -> bool:
         return self.vv is not None
 
-    def walk(self):
-        """Yield this node and every descendant in pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
 
 class MetricsResult(Record):
-    __slots__ = ("process_name", "root", "pam", "config_used", "warnings")
+    """The metric over one process: ``nodes[r]`` is the result of the
+    process index's rank r, so the root comes first and the rest follow
+    in pre-order.
+    """
+
+    __slots__ = ("process_name", "nodes", "config_used", "warnings")
 
     def __init__(
         self,
         process_name: str,
-        root: NodeVD,
-        pam: Fraction,
+        nodes: tuple[NodeVD, ...],
         config_used: AnalysisConfig,
         warnings: tuple[str, ...] = (),
     ) -> None:
         _set(self, "process_name", process_name)
-        _set(self, "root", root)
-        _set(self, "pam", pam)
+        _set(self, "nodes", nodes)
         _set(self, "config_used", config_used)
         _set(self, "warnings", warnings)
+
+    @property
+    def pam(self) -> Fraction:
+        """PAM, the VD of the root activity."""
+        return self.nodes[0].vd
 
 
 def variability_value(profile: VariabilityProfile, path: ActivityPath, config: AnalysisConfig) -> int:
@@ -153,28 +147,27 @@ def process_adaptability(
             vd = degrees.get(vv)
             if vd is None:  # raises ReferenceTooSmall when vv exceeds R
                 vd = degrees[vv] = variability_degree(vv, reference)
-            nodes[rank] = NodeVD(path, activity.kind, vd, vv)
+            nodes[rank] = NodeVD(path, vd, vv)
             nums[rank], dens[rank] = vv, reference
         elif activity.is_basic:
-            nodes[rank] = NodeVD(path, activity.kind, degrees[0])
+            nodes[rank] = NodeVD(path, degrees[0])
     divisors = _divisors(index, config)
     for rank in range(size - 1, -1, -1):
         if nodes[rank] is not None:
             continue
-        children = list(index.children(rank))
         n = divisors[rank]
-        # Ineligible children score zero, so summing all of them equals
-        # summing the eligible ones; only the divisor differs.
         vd = degrees[0]
         if n:
+            # Ineligible children score zero, so summing all of them equals
+            # summing the eligible ones; only the divisor differs.
+            children = list(index.children(rank))
             common = lcm(*[dens[child] for child in children])
             total = sum([nums[child] * (common // dens[child]) for child in children])
             if total:
                 vd = Fraction(total, common * n)
                 nums[rank], dens[rank] = vd.numerator, vd.denominator
-        nodes[rank] = NodeVD(index.paths[rank], index.activities[rank].kind, vd, None, n,
-                             tuple([nodes[child] for child in children]))
-    return MetricsResult(process.name, nodes[0], nodes[0].vd, config, profile.warnings)
+        nodes[rank] = NodeVD(index.paths[rank], vd, None, n)
+    return MetricsResult(process.name, tuple(nodes), config, profile.warnings)
 
 
 def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:

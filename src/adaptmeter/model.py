@@ -144,6 +144,11 @@ class ActivityPath(Record):
     def order_key(self) -> tuple:
         return (tuple(index for _, index in self.steps), self.steps)
 
+    def __deepcopy__(self, memo: dict) -> ActivityPath:
+        # A path holds only strings and integers, so a deep copy may share it.
+        # Copying its steps would make a deep copy of a result O(depth²).
+        return self
+
     def __str__(self) -> str:
         return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in self.steps)
 
@@ -275,7 +280,7 @@ class AnalysisConfig(Record):
         count_mode: str = "set",
         include_disabled_aspects: bool = False,
     ) -> None:
-        if not isinstance(reference_value, int) or reference_value < 1:
+        if type(reference_value) is not int or reference_value < 1:
             raise ConfigError("reference value must be an integer >= 1")
         kinds = frozenset(join_point_kinds)
         if not kinds:

@@ -65,8 +65,8 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
     # keyed by integers: hashing a Fraction costs more than formatting it.
     details: dict[tuple, str] = {}
     labels, rows = [], []
-    # The VD walk and the process index are both in pre-order.
-    for node, activity in zip(result.root.walk(), process.index.activities):
+    # A result's nodes follow the ranks of the process index.
+    for node, activity in zip(result.nodes, process.index.activities):
         key = (node.vd.numerator, node.vd.denominator, node.vv, node.n_used)
         detail = details.get(key)
         if detail is None:
@@ -105,7 +105,7 @@ def render_json(result: MetricsResult) -> str:
         "pam": float(result.pam),
         "pam_exact": str(result.pam),
         "reference_value": result.config_used.reference_value,
-        "nodes": [_node_entry(node) for node in result.root.walk()],
+        "nodes": [_node_entry(node) for node in result.nodes],
         "warnings": list(result.warnings),
     }
     return json.dumps(payload, indent=2)
@@ -115,7 +115,7 @@ def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
     """One JSON-ready row per join point of either side, in pre-order: its path,
     then the left and right VDs and their exact difference as floats, each
     None where a side lacks the join point."""
-    left_vds, right_vds = ({node.path: node.vd for node in result.root.walk() if node.join_point}
+    left_vds, right_vds = ({node.path: node.vd for node in result.nodes if node.join_point}
                            for result in (left, right))
     rows = []
     for path in sorted(left_vds.keys() | right_vds.keys(), key=attrgetter("order_key")):

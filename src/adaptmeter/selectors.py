@@ -99,9 +99,12 @@ def parse_selector(text: str) -> PointcutSelector:
 def render_selector(selector: PointcutSelector) -> str:
     """Canonical text form; parse_selector(render_selector(s)) == s.
 
-    The grammar has no escape, so a predicate value holding both quote
-    characters, which only a step built in Python can have, raises
-    SelectorSyntax.
+    Only a selector built in Python can lack a text form: one with no
+    steps, a name outside the grammar, a first step that is neither
+    //process nor an activity kind, or a predicate value holding both
+    quote characters (the grammar has no escape). The text is parsed
+    back, so each raises SelectorSyntax, as does text that would read
+    back as a different selector.
     """
     parts = []
     for step in selector.steps:
@@ -112,4 +115,7 @@ def render_selector(selector: PointcutSelector) -> str:
                 raise SelectorSyntax(f"predicate value {value!r} holds both quote characters, which no selector "
                                      f"text can write")
             parts.append(f"[@{attribute}={quote}{value}{quote}]")
-    return "".join(parts)
+    text = "".join(parts)
+    if parse_selector(text) != selector:
+        raise SelectorSyntax(f"{text!r} reads back as a different selector")
+    return text

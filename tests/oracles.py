@@ -81,24 +81,28 @@ def divisor(activity: Activity, config: AnalysisConfig) -> int:
 
 def aggregate(
     activity: Activity, path: ActivityPath, profile: VariabilityProfile, config: AnalysisConfig
-) -> NodeVD:
-    """Recursively compute the VD tree rooted at one activity."""
+) -> list[NodeVD]:
+    """Recursively compute the VDs of the subtree rooted at one activity, in pre-order."""
     if activity.is_basic:
         if is_join_point(activity, config):
             vv = variability_value(profile, path, config)
-            return NodeVD(path, activity.kind, variability_degree(vv, config.reference_value), vv=vv)
-        return NodeVD(path, activity.kind, Fraction(0))
-    children = tuple(
+            return [NodeVD(path, variability_degree(vv, config.reference_value), vv=vv)]
+        return [NodeVD(path, Fraction(0))]
+    subtrees = [
         aggregate(child, ActivityPath(path.steps + ((child.kind, index),)), profile, config)
         for index, child in enumerate(activity.children)
-    )
+    ]
     n = divisor(activity, config)
-    total = sum((child.vd for child in children), Fraction(0))
-    return NodeVD(path, activity.kind, total / n if n else Fraction(0), n_used=n, children=children)
+    total = sum((subtree[0].vd for subtree in subtrees), Fraction(0))
+    node = NodeVD(path, total / n if n else Fraction(0), n_used=n)
+    return [node] + [descendant for subtree in subtrees for descendant in subtree]
 
 
-def aggregate_process(process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig) -> NodeVD:
-    return aggregate(process.root, ActivityPath(((process.root.kind, 0),)), profile, config)
+def aggregate_process(
+    process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig
+) -> tuple[NodeVD, ...]:
+    """Every node's VD in pre-order, root first: what `MetricsResult.nodes` holds."""
+    return tuple(aggregate(process.root, ActivityPath(((process.root.kind, 0),)), profile, config))
 
 
 def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
@@ -256,7 +260,7 @@ def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[t
     series = []
     for count in range(len(order) + 1):
         profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in order[:count])
-        series.append((count, aggregate_process(process, profile, config).vd))
+        series.append((count, aggregate_process(process, profile, config)[0].vd))
     return series
 
 
@@ -506,10 +510,9 @@ def render_text(result, process: ProcessModel, color: bool = False) -> str:
         f"count mode: {config.count_mode}",
         "",
     ]
-    nodes = list(result.root.walk())
-    labels = [label(node, activity.name) for node, activity in zip(nodes, process.index.activities)]
+    labels = [label(node, activity.name) for node, activity in zip(result.nodes, process.index.activities)]
     width = max(len(text) for text in labels) + 2
-    lines += [f"{text:<{width}}{detail(node)}" for text, node in zip(labels, nodes)]
+    lines += [f"{text:<{width}}{detail(node)}" for text, node in zip(labels, result.nodes)]
     pam_line = f"PAM = {format_vd(result.pam)}"
     lines += ["(* join point)", "", f"\x1b[1m{pam_line}\x1b[0m" if color else pam_line]
     return "\n".join(lines)

@@ -72,7 +72,7 @@ class TestAnalyze:
         payload = json.loads(out)
         profile = bind_aspects(travel_process, travel_aspects, config)
         result = process_adaptability(travel_process, profile, config)
-        expected = {str(node.path): node for node in result.root.walk()}
+        expected = {str(node.path): node for node in result.nodes}
         assert abs(payload["pam"] - float(result.pam)) < 1e-9
         assert len(payload["nodes"]) == len(expected)
         for entry in payload["nodes"]:

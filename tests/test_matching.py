@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from adaptmeter import Activity, AnalysisConfig, ProcessModel, bind_aspects, parse_aspect
+from adaptmeter import Activity, AnalysisConfig, BadAdviceType, ProcessModel, bind_aspects, parse_aspect
 from adaptmeter.matching import VariabilityProfile, _within, match_selector
 from adaptmeter.model import ActivityPath
 from adaptmeter.selectors import parse_selector
@@ -209,6 +209,11 @@ class TestBindAspects:
         assert frozenset(profile.raw_counts.get(path, ())) == frozenset({"before"})
         assert profile.raw_counts[path] == {"before": 2}
         assert len(profile.bindings) == 2
+
+    def test_unknown_advice_type_is_refused_by_name(self):
+        path = activity_path("/process/sequence[0]/invoke[0]")
+        with pytest.raises(BadAdviceType, match="^advice type must be one of before, around, after, got 'sideways'$"):
+            VariabilityProfile.from_assignments([(path, "sideways")])
 
     def test_binding_order_is_stable(self, travel_process, travel_aspects, config):
         profile = bind_aspects(travel_process, travel_aspects, config)

@@ -28,7 +28,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights, linear_weight_oracle, variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, find_join_points
+from adaptmeter.model import ADVICE_TYPES, ActivityPath, find_join_points
 from oracles import activity_path
 from randtrees import random_process, random_profile, shuffle_with_profile
 
@@ -129,7 +129,7 @@ class TestVariabilityDegree:
 class TestAggregate:
     def test_travel_node_values(self, travel_process, travel_profile, config):
         result = process_adaptability(travel_process, travel_profile, config)
-        by_path = {str(node.path): node for node in result.root.walk()}
+        by_path = {str(node.path): node for node in result.nodes}
         switch = by_path["/process/sequence[0]/switch[2]"]
         assert switch.vd == SWITCH_VD
         assert switch.n_used == 2
@@ -147,13 +147,13 @@ class TestAggregate:
 
     def test_empty_flow_scores_zero(self, config):
         process = ProcessModel(name="p", root=Activity("flow"))
-        node = process_adaptability(process, VariabilityProfile(), config).root
+        (node,) = process_adaptability(process, VariabilityProfile(), config).nodes
         assert node.vd == 0
         assert node.n_used == 0
 
     def test_flow_of_assigns_scores_zero(self, config):
         flow = Activity("flow", children=(Activity("assign"), Activity("assign")))
-        node = process_adaptability(ProcessModel(name="p", root=flow), VariabilityProfile(), config).root
+        node = process_adaptability(ProcessModel(name="p", root=flow), VariabilityProfile(), config).nodes[0]
         assert node.vd == 0
         assert node.n_used == 0
 
@@ -163,9 +163,13 @@ class TestAggregate:
             process = random_process(rng)
             profile = random_profile(rng, process, config)
             result = process_adaptability(process, profile, config)
-            for node in result.root.walk():
-                if node.children:
-                    total = sum((child.vd for child in node.children), Fraction(0))
+            # A node's children are the nodes whose path extends its own by one step.
+            children: dict[ActivityPath, list] = {node.path: [] for node in result.nodes}
+            for node in result.nodes[1:]:
+                children[ActivityPath(node.path.steps[:-1])].append(node)
+            for node in result.nodes:
+                if children[node.path]:
+                    total = sum((child.vd for child in children[node.path]), Fraction(0))
                     expected = total / node.n_used if node.n_used else Fraction(0)
                     assert node.vd == expected
 
@@ -174,7 +178,7 @@ class TestProcessAdaptability:
     def test_worked_example(self, travel_process, travel_profile, config):
         result = process_adaptability(travel_process, travel_profile, config)
         assert result.pam == TRAVEL_PAM
-        assert result.pam == result.root.vd
+        assert result.pam == result.nodes[0].vd
         assert result.process_name == "TravelBooking"
 
     def test_zero_aspects_means_zero(self, travel_process, config):
@@ -251,7 +255,7 @@ class TestMetricProperties:
             profile = random_profile(rng, process, config)
             result = process_adaptability(process, profile, config)
             assert 0 <= result.pam <= 1
-            for node in result.root.walk():
+            for node in result.nodes:
                 assert 0 <= node.vd <= 1
 
     def test_adding_an_advice_type_never_decreases_pam(self, config):

@@ -212,6 +212,9 @@ class TestAnalysisConfig:
     def test_reference_value_must_be_positive(self):
         with pytest.raises(ConfigError):
             AnalysisConfig(reference_value=0)
+        # bool is an int subclass, but True would print and serialise as a boolean
+        with pytest.raises(ConfigError, match="^reference value must be an integer >= 1$"):
+            AnalysisConfig(reference_value=True)
 
     def test_join_point_kinds_must_be_nonempty(self):
         with pytest.raises(ConfigError):

@@ -91,7 +91,7 @@ def test_matcher_equals_the_oracle(process, selector):
 def test_aggregator_equals_the_oracle(process, config, data):
     profile = VariabilityProfile.from_assignments(_assignments(data, process, config))
     expected = _outcome(lambda: oracles.aggregate_process(process, profile, config))
-    assert _outcome(lambda: process_adaptability(process, profile, config).root) == expected
+    assert _outcome(lambda: process_adaptability(process, profile, config).nodes) == expected
 
 
 @DERANDOMIZED

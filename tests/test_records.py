@@ -19,8 +19,9 @@ from adaptmeter import (
     process_adaptability,
     run_sweep,
 )
-from adaptmeter.matching import JoinPointBinding
+from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.model import ActivityPath, ProcessIndex
+from adaptmeter.parsing import MAX_NESTING
 from adaptmeter.selectors import parse_selector
 from adaptmeter.sweep import SweepCase, VariabilitySlot
 from conftest import FIXTURES_DIR
@@ -38,9 +39,9 @@ def records(travel_process, travel_aspects):
     selector = aspect.pointcuts[0].selector
     switch = travel_process.root.children[2]
     return [
-        switch, result.root.path, travel_process.index, travel_process, config,
+        switch, result.nodes[0].path, travel_process.index, travel_process, config,
         selector.steps[0], selector, aspect.pointcuts[0], aspect, profile.bindings[0], profile,
-        result.root, result, sweep.cases[0].order[0], sweep.cases[0], sweep,
+        result.nodes[0], result, sweep.cases[0].order[0], sweep.cases[0], sweep,
     ]
 
 
@@ -66,7 +67,7 @@ def test_equal_records_have_equal_hashes():
         (AnalysisConfig(join_point_kinds=["invoke"]), AnalysisConfig(join_point_kinds=frozenset({"invoke"}))),
         (parse_selector('//invoke[@operation="x"]'), parse_selector("//invoke[@operation='x']")),
         (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", ActivityPath(path.steps), "before")),
-        (NodeVD(path, "invoke", Fraction(1, 3), 1), NodeVD(ActivityPath(path.steps), "invoke", Fraction(2, 6), 1)),
+        (NodeVD(path, Fraction(1, 3), 1), NodeVD(ActivityPath(path.steps), Fraction(2, 6), 1)),
         (SweepCase(0, (VariabilitySlot(path, "after"),), ((0, Fraction(0)),)),
          SweepCase(0, (VariabilitySlot(path, "after"),), ((0, Fraction(0)),))),
     ]
@@ -74,7 +75,7 @@ def test_equal_records_have_equal_hashes():
         assert left is not right
         assert left == right
         assert hash(left) == hash(right)
-    assert NodeVD(path, "invoke", Fraction(1, 3), 1) != NodeVD(path, "invoke", Fraction(1, 3), 2)
+    assert NodeVD(path, Fraction(1, 3), 1) != NodeVD(path, Fraction(1, 3), 2)
     assert VariabilitySlot(path, "after") != (path, "after")
 
 
@@ -141,8 +142,21 @@ def test_omitted_attributes_are_a_fresh_empty_dict():
 
 def test_node_vd_repr_keeps_the_field_form():
     path = ActivityPath((("sequence", 0), ("invoke", 2)))
-    node = NodeVD(path, "invoke", Fraction(1, 3), vv=1)
+    node = NodeVD(path, Fraction(1, 3), vv=1)
     assert repr(node) == (
-        "NodeVD(path=ActivityPath(steps=(('sequence', 0), ('invoke', 2))), kind='invoke', "
-        "vd=Fraction(1, 3), vv=1, n_used=None, children=())"
+        "NodeVD(path=ActivityPath(steps=(('sequence', 0), ('invoke', 2))), vd=Fraction(1, 3), vv=1, n_used=None)"
     )
+    assert node.kind == "invoke"
+
+
+def test_results_of_the_deepest_process_do_not_recurse():
+    # The <process> element and the innermost <invoke> take two of the levels.
+    depth = MAX_NESTING - 2
+    process = parse_process(f'<process name="deep">{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}</process>')
+    config = AnalysisConfig()
+    result = process_adaptability(process, VariabilityProfile(), config)
+    assert len(result.nodes) == depth + 1 and result.nodes[-1].kind == "invoke"
+    assert result == process_adaptability(process, VariabilityProfile(), config)
+    assert repr(result).startswith("MetricsResult(process_name='deep', nodes=(NodeVD(path=ActivityPath(")
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert copy.deepcopy(result) == result

@@ -100,6 +100,21 @@ class TestRenderSelector:
             render_selector(selector)
         assert repr(value) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            PointcutSelector((SelectorStep("in voke"),)),
+            PointcutSelector((SelectorStep("invoke", (("op name", "x"),)),)),
+            PointcutSelector((SelectorStep("foo"),)),
+            PointcutSelector(()),
+            PointcutSelector((SelectorStep("invoke "),)),
+        ],
+        ids=["space-in-element", "space-in-attribute", "first-step-not-an-activity", "no-steps", "reads-back-trimmed"],
+    )
+    def test_render_refuses_a_selector_without_text(self, selector):
+        with pytest.raises(SelectorSyntax):
+            render_selector(selector)
+
     def test_str_is_the_rendered_text(self):
         selector = parse_selector(FLIGHT_SELECTOR)
         assert str(selector) == render_selector(selector) == FLIGHT_SELECTOR
