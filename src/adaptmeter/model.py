@@ -290,6 +290,8 @@ class AnalysisConfig(Record):
             raise ConfigError(f"join-point kinds must be basic activity kinds, got: {', '.join(sorted(bad))}")
         if count_mode not in ("set", "raw-clamped"):
             raise ConfigError(f"count mode must be 'set' or 'raw-clamped', got {count_mode!r}")
+        if type(include_disabled_aspects) is not bool:
+            raise ConfigError(f"include disabled aspects must be True or False, got {include_disabled_aspects!r}")
         _set(self, "reference_value", reference_value)
         _set(self, "join_point_kinds", kinds)
         _set(self, "count_mode", count_mode)

@@ -305,8 +305,11 @@ def load_aspects(paths: Iterable[str | os.PathLike[str]]) -> tuple[list[Aspect],
     and one that is not well-formed UTF-8 XML is skipped with a note. A
     file named directly must parse. An error's ``source`` names its file.
     """
+    import os
     from pathlib import Path
 
+    if isinstance(paths, (str, os.PathLike)):
+        raise TypeError(f"load_aspects takes a list of paths, not one path: {paths!r}")
     aspects: list[Aspect] = []
     notes: list[str] = []
     for raw in paths:

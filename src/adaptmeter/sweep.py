@@ -6,8 +6,9 @@ in some order and records the process adaptability after each addition,
 producing a monotone series from the empty profile to saturation.
 `run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
 reports the min/mean/max envelope over every subset of slots per count.
-It folds in one join point at a time instead of enumerating the subsets,
-so its cost is polynomial in the slot count.
+It reads the envelope off one sorted list of per-slot marginal gains
+(two prefix sums) and a hypergeometric mean instead of enumerating the
+subsets, so its cost is one sort plus linear work in the slot count.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .metrics import join_point_weights, variability_degree
@@ -133,27 +135,28 @@ def exhaustive_sweep(
     """Envelope over every slot subset: (count, min, mean, max) per count.
 
     A subset's PAM is the sum over join points of weight * VD(c), where c
-    is how many of the join point's slots the subset holds. So the
-    envelope folds in one join point at a time: for each count it keeps
-    the min, max and sum of PAM over the subsets so far and their number.
-    A join point adds term c in comb(3, c) ways.
+    is how many of the join point's slots the subset holds. VD is concave
+    in c with VD(0) = 0, so each join point's marginal gains
+    weight * (VD(c) - VD(c - 1)) never increase with c. Hence filling the
+    lightest join points whole gives the minimum, and taking the largest
+    gains gives the maximum. The c of one join point in a random k-subset
+    of the S slots is hypergeometric, so the mean is (sum of weights) times
+    sum over c of C(k, c) C(S - k, 3 - c) VD(c) / C(S, 3).
     """
-    weights = join_point_weights(process, config)
+    weights = sorted(join_point_weights(process, config).values())
+    if not weights:
+        return [(0, Fraction(0), Fraction(0), Fraction(0))]
     per_join_point = len(ADVICE_TYPES)
     reference = config.reference_value
     clamp = config.count_mode == "raw-clamped"
-    envelope = [(Fraction(0), Fraction(0), Fraction(0), 1)]  # (min, max, sum, number) per count
-    for weight in weights.values():
-        merged: list[list[tuple[Fraction, Fraction, Fraction, int]]] = [
-            [] for _ in range(len(envelope) + per_join_point)
-        ]
-        for c in range(per_join_point + 1):
-            term = weight * variability_degree(min(c, reference) if clamp else c, reference)
-            ways = math.comb(per_join_point, c)
-            for count, (low, high, total, number) in enumerate(envelope):
-                merged[count + c].append((low + term, high + term, ways * (total + number * term), ways * number))
-        envelope = [
-            (min(lows), max(highs), sum(totals, Fraction(0)), sum(numbers))
-            for lows, highs, totals, numbers in (zip(*group) for group in merged)
-        ]
-    return [(count, low, total / number, high) for count, (low, high, total, number) in enumerate(envelope)]
+    degrees = [variability_degree(min(c, reference) if clamp else c, reference) for c in range(per_join_point + 1)]
+    gains = [weight * (degrees[c] - degrees[c - 1]) for weight in weights for c in range(1, per_join_point + 1)]
+    slots = len(gains)
+    scale = sum(weights, Fraction(0)) / math.comb(slots, per_join_point)
+    means = [
+        scale * sum(math.comb(k, c) * math.comb(slots - k, per_join_point - c) * degree for c, degree in enumerate(degrees))
+        for k in range(slots + 1)
+    ]
+    lows = accumulate(gains, initial=Fraction(0))
+    highs = accumulate(sorted(gains, reverse=True), initial=Fraction(0))
+    return list(zip(range(slots + 1), lows, means, highs))

@@ -2,11 +2,13 @@
 
 Each function recomputes, by walking the activity tree directly, a
 result that the library derives from the shared pre-order process
-index. They are slow on purpose and easy to check by hand.
+index, or, for the exhaustive sweep envelope, from order statistics.
+They are slow on purpose and easy to check by hand.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from xml.parsers import expat
@@ -262,6 +264,35 @@ def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[t
         profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in order[:count])
         series.append((count, aggregate_process(process, profile, config)[0].vd))
     return series
+
+
+def exhaustive_fold(process: ProcessModel, config: AnalysisConfig) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+    """(count, min, mean, max) over every slot subset, folding in one join point at a time.
+
+    A subset's PAM is the sum over join points of weight * VD(c), where c
+    is how many of the join point's slots the subset holds. For each count
+    the fold keeps the min, max and sum of PAM over the subsets so far and
+    their number; a join point adds term c in comb(3, c) ways. O(J * S)
+    for J join points and S slots.
+    """
+    per_join_point = len(ADVICE_TYPES)
+    reference = config.reference_value
+    clamp = config.count_mode == "raw-clamped"
+    envelope = [(Fraction(0), Fraction(0), Fraction(0), 1)]  # (min, max, sum, number) per count
+    for weight in join_point_weights(process, config).values():
+        merged: list[list[tuple[Fraction, Fraction, Fraction, int]]] = [
+            [] for _ in range(len(envelope) + per_join_point)
+        ]
+        for c in range(per_join_point + 1):
+            term = weight * variability_degree(min(c, reference) if clamp else c, reference)
+            ways = math.comb(per_join_point, c)
+            for count, (low, high, total, number) in enumerate(envelope):
+                merged[count + c].append((low + term, high + term, ways * (total + number * term), ways * number))
+        envelope = [
+            (min(lows), max(highs), sum(totals, Fraction(0)), sum(numbers))
+            for lows, highs, totals, numbers in (zip(*group) for group in merged)
+        ]
+    return [(count, low, total / number, high) for count, (low, high, total, number) in enumerate(envelope)]
 
 
 # The two-pass document reader the streaming parser replaced: expat builds

@@ -227,3 +227,10 @@ class TestAnalysisConfig:
     def test_count_mode_checked(self):
         with pytest.raises(ConfigError):
             AnalysisConfig(count_mode="average")
+
+    def test_include_disabled_aspects_must_be_a_bool(self):
+        # a truthy string would otherwise bind disabled aspects
+        for value in ("no", 0, 1, None):
+            with pytest.raises(ConfigError, match="^include disabled aspects must be True or False, got "):
+                AnalysisConfig(include_disabled_aspects=value)
+        assert AnalysisConfig(include_disabled_aspects=True).include_disabled_aspects is True

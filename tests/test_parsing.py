@@ -317,6 +317,14 @@ class TestLoadAspects:
             load_aspects([tmp_path])
         assert (excinfo.value.source, excinfo.value.line) == (str(bad), 1)
 
+    def test_a_lone_path_is_refused(self, tmp_path):
+        # iterating a str would read each character as a path
+        (tmp_path / "a.xml").write_text(self.GOOD)
+        for lone in (str(tmp_path), tmp_path):
+            with pytest.raises(TypeError, match="^load_aspects takes a list of paths, not one path: "):
+                load_aspects(lone)
+        assert [aspect.name for aspect in load_aspects((tmp_path,))[0]] == ["A"]
+
 
 class TestSerializeProcess:
     def test_fixture_round_trip(self, travel_process, linear_process, mini_process):

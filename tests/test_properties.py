@@ -1,5 +1,6 @@
-"""Hypothesis property tests: matcher and aggregator against the oracles,
-PAM's range and monotonicity, and parser robustness on generated XML.
+"""Hypothesis property tests: matcher, aggregator and exhaustive sweep
+against the oracles, PAM's range and monotonicity, and parser robustness
+on generated XML.
 
 Every test runs derandomized (a fixed seed per test, no example
 database), so the suite draws the same examples on every run.
@@ -15,6 +16,7 @@ from adaptmeter import (
     AdaptMeterError,
     AnalysisConfig,
     ProcessModel,
+    exhaustive_sweep,
     parse_aspect,
     parse_process,
     process_adaptability,
@@ -105,6 +107,13 @@ def test_pam_stays_in_the_unit_interval_and_grows_with_advice(process, config, d
     low = process_adaptability(process, VariabilityProfile.from_assignments(before), config).pam
     high = process_adaptability(process, VariabilityProfile.from_assignments(after), config).pam
     assert 0 <= low <= high <= 1
+
+
+@DERANDOMIZED
+@given(processes, configs)
+def test_exhaustive_sweep_equals_the_fold(process, config):
+    expected = _outcome(lambda: oracles.exhaustive_fold(process, config))
+    assert _outcome(lambda: exhaustive_sweep(process, config)) == expected
 
 
 # Pieces of process and aspect documents: grammar elements, strangers,

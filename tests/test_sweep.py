@@ -21,6 +21,7 @@ from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
 from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
+import oracles
 
 NO_JOIN_POINTS = ProcessModel(name="inert", root=Activity("sequence", children=(Activity("assign"),)))
 
@@ -221,6 +222,16 @@ class TestExhaustiveSweep:
             for k in range(slots + 1)
         ]
         assert exhaustive_sweep(process, config) == expected
+
+    @pytest.mark.parametrize("reference_value", [1, 2])
+    def test_raw_clamped_below_three_matches_the_fold_on_a_large_process(self, reference_value):
+        # VD = min(c, R) / R is concave but not linear here: each join point's
+        # first R slots add weight / R and the rest add nothing
+        process = _process_with_join_points(random.Random(100), 100)
+        config = AnalysisConfig(reference_value=reference_value, count_mode="raw-clamped")
+        rows = exhaustive_sweep(process, config)
+        assert len(rows) == 301
+        assert rows == oracles.exhaustive_fold(process, config)
 
     def test_raw_clamped_mode_matches_set_mode_here(self, mini_process):
         # slots are distinct (path, type) pairs, so multiplicities never
