@@ -18,16 +18,22 @@ their members:
 The process adaptability metric PAM is the VD of the root activity.
 
 All arithmetic uses exact rationals (fractions.Fraction); nothing is
-rounded before a report is rendered. Aggregation is one bottom-up pass
-over the process index, and it is linear in the per-join-point degrees:
-PAM equals the weight of each join point (the product of 1/n over its
-ancestors) times its VD, summed. `linear_weight_oracle` computes PAM
-that way, and sweeps use the weights to update PAM slot by slot.
+rounded before a report is rendered. The fold is linear in the
+per-join-point degrees: PAM equals the weight of each join point (the
+product of 1/n over its ancestors) times its VD, summed, and any node's
+VD is the same sum over its subtree divided by the node's own weight.
+So aggregation reads one integer weight table: every rank's weight,
+scaled by the least common multiple of the ancestor products. A subtree
+is a contiguous run of pre-order ranks in the process index, so one
+prefix sum of weight * VV gives every node's numerator, and each node
+builds one exact Fraction. `linear_weight_oracle` computes PAM as the
+weighted sum, and sweeps use the weights to update PAM slot by slot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -110,63 +116,68 @@ def variability_degree(vv: int, reference_value: int) -> Fraction:
     return Fraction(vv, reference_value)
 
 
-def _divisors(index: ProcessIndex, config: AnalysisConfig) -> list[int]:
-    """The divisor n of every rank, from one bottom-up pass.
+def _weights(index: ProcessIndex, config: AnalysisConfig) -> tuple[list[int], list[int], int]:
+    """The divisor n and the integer weight of every rank, and the scale of the weights.
 
     Branching nodes count every child; other structured nodes count the
     eligible ones: join points, and structured children with a join
-    point below them. Basic ranks get n = 0.
+    point below them. Basic ranks get n = 0. A rank with a join point at
+    or below it weighs ``scale`` over the product of its ancestors'
+    divisors, where ``scale`` is the least common multiple of those
+    ranks' products; every other rank weighs 0.
     """
-    eligible = [is_join_point(activity, config) for activity in index.activities]
-    divisors = [0] * len(eligible)
-    for rank in range(len(eligible) - 1, 0, -1):
-        parent = index.parents[rank]
-        eligible[parent] = eligible[parent] or eligible[rank]
-        if eligible[rank] or index.activities[parent].kind in BRANCHING_KINDS:
+    activities, parents = index.activities, index.parents
+    live = [is_join_point(activity, config) for activity in activities]
+    divisors = [0] * len(live)
+    for rank in range(len(live) - 1, 0, -1):
+        parent = parents[rank]
+        live[parent] = live[parent] or live[rank]
+        if live[rank] or activities[parent].kind in BRANCHING_KINDS:
             divisors[parent] += 1
-    return divisors
+    # The root's product is 1, or 0 when the tree has no join point. Every
+    # ancestor of a live rank has n >= 1, so only dead ranks get product 0.
+    products = [int(live[0])] * len(live)
+    for rank in range(1, len(live)):
+        parent = parents[rank]
+        products[rank] = products[parent] * divisors[parent] if live[rank] else 0
+    # Trees repeat few products, so divide once per distinct one.
+    distinct = set(products) - {0}
+    scale = lcm(*distinct)
+    shares = {product: scale // product for product in distinct}
+    shares[0] = 0
+    return divisors, [shares[product] for product in products], scale
 
 
 def process_adaptability(
     process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig
 ) -> MetricsResult:
-    """Evaluate the whole process: PAM is the root activity's VD."""
+    """Evaluate the whole process: PAM is the root activity's VD.
+
+    A node's VD is the weighted sum of the VVs of the join points in its
+    subtree, ranks r .. ends[r] - 1, over its own weight times R; one
+    prefix sum over the ranks gives every such sum.
+    """
     index = process.index
     reference = config.reference_value
-    # The VD of each variability value that occurs, built once per value.
-    degrees = {0: Fraction(0)}
-    size = len(index.paths)
-    nodes: list[NodeVD | None] = [None] * size
-    # VD(rank) == nums[rank] / dens[rank], so sums over children stay integer.
-    nums, dens = [0] * size, [1] * size
-    # Join points are scored in pre-order, so ReferenceTooSmall reports
-    # the first offending one in document order.
-    for rank, (path, activity) in enumerate(zip(index.paths, index.activities)):
-        if is_join_point(activity, config):
-            vv = variability_value(profile, path, config)
-            vd = degrees.get(vv)
-            if vd is None:  # raises ReferenceTooSmall when vv exceeds R
-                vd = degrees[vv] = variability_degree(vv, reference)
-            nodes[rank] = NodeVD(path, vd, vv)
-            nums[rank], dens[rank] = vv, reference
-        elif activity.is_basic:
-            nodes[rank] = NodeVD(path, degrees[0])
-    divisors = _divisors(index, config)
-    for rank in range(size - 1, -1, -1):
-        if nodes[rank] is not None:
-            continue
-        n = divisors[rank]
-        vd = degrees[0]
-        if n:
-            # Ineligible children score zero, so summing all of them equals
-            # summing the eligible ones; only the divisor differs.
-            children = list(index.children(rank))
-            common = lcm(*[dens[child] for child in children])
-            total = sum([nums[child] * (common // dens[child]) for child in children])
-            if total:
-                vd = Fraction(total, common * n)
-                nums[rank], dens[rank] = vd.numerator, vd.denominator
-        nodes[rank] = NodeVD(index.paths[rank], vd, None, n)
+    divisors, weights, _ = _weights(index, config)
+    vvs = [variability_value(profile, path, config) if is_join_point(activity, config) else None
+           for path, activity in zip(index.paths, index.activities)]
+    # The VD of each VV that occurs (None: not a join point), built in
+    # pre-order, so ReferenceTooSmall names the first offending VV in
+    # document order.
+    degrees = {None: Fraction(0)}
+    for vv in vvs:
+        if vv not in degrees:
+            degrees[vv] = variability_degree(vv, reference)
+    sums = [0, *accumulate((vv or 0) * weight for vv, weight in zip(vvs, weights))]
+    nodes = []
+    for rank, (path, activity, vv) in enumerate(zip(index.paths, index.activities, vvs)):
+        if activity.is_basic:
+            nodes.append(NodeVD(path, degrees[vv], vv))
+        else:
+            total = sums[index.ends[rank]] - sums[rank]
+            vd = Fraction(total, weights[rank] * reference) if total else degrees[None]
+            nodes.append(NodeVD(path, vd, None, divisors[rank]))
     return MetricsResult(process.name, tuple(nodes), config, profile.warnings)
 
 
@@ -174,19 +185,16 @@ def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[Ac
     """Weight of each join point, in pre-order: the product of 1/n over its ancestors.
 
     A join point's weight is how much one unit of its VD moves the
-    process result. Weights use the same divisors as aggregation, and
-    every ancestor of a join point has n >= 1 by construction.
+    process result: its entry in the weight table aggregation reads,
+    over the table's scale.
     """
     index = process.index
-    divisors = _divisors(index, config)
-    node_weights = [Fraction(1)] * len(divisors)
-    weights: dict[ActivityPath, Fraction] = {}
-    for rank in range(1, len(divisors)):
-        n = divisors[index.parents[rank]]
-        node_weights[rank] = node_weights[index.parents[rank]] / n if n else Fraction(0)
-        if is_join_point(index.activities[rank], config):
-            weights[index.paths[rank]] = node_weights[rank]
-    return weights
+    _, weights, scale = _weights(index, config)
+    return {
+        path: Fraction(weight, scale)
+        for path, activity, weight in zip(index.paths, index.activities, weights)
+        if is_join_point(activity, config)
+    }
 
 
 def linear_weight_oracle(

@@ -227,13 +227,6 @@ class ProcessIndex(Record):
             table = self._postings[kind, attribute] = {key: tuple(ranks) for key, ranks in table.items()}
         return table.get(value, ())
 
-    def children(self, rank: int) -> Iterator[int]:
-        """Ranks of the node's children, in order."""
-        child = rank + 1
-        while child < self.ends[rank]:
-            yield child
-            child = self.ends[child]
-
 
 class ProcessModel(Record):
     """A parsed process: its name and the rooted activity tree.
@@ -282,7 +275,13 @@ class AnalysisConfig(Record):
     ) -> None:
         if type(reference_value) is not int or reference_value < 1:
             raise ConfigError("reference value must be an integer >= 1")
-        kinds = frozenset(join_point_kinds)
+        try:
+            # A lone string is iterable too, but its items are letters.
+            kinds = None if isinstance(join_point_kinds, (str, bytes)) else frozenset(join_point_kinds)
+        except TypeError:  # not iterable, or an unhashable item
+            kinds = None
+        if kinds is None or not all(isinstance(kind, str) for kind in kinds):
+            raise ConfigError(f"join-point kinds must be a collection of kind names, got {join_point_kinds!r}")
         if not kinds:
             raise ConfigError("join-point kinds must not be empty")
         bad = kinds - BASIC_KINDS

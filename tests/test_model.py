@@ -99,8 +99,6 @@ class TestProcessIndex:
                 if rank:
                     assert is_ancestor_of(index.paths[index.parents[rank]], path)
                     assert index.paths[index.parents[rank]].depth == path.depth - 1
-                children = list(index.children(rank))
-                assert [index.activities[child] for child in children] == list(index.activities[rank].children)
 
     def test_ranks_with_lists_the_kind_by_attribute_value(self, travel_process):
         rng = random.Random(20213)
@@ -223,6 +221,13 @@ class TestAnalysisConfig:
     def test_join_point_kinds_must_be_basic(self):
         with pytest.raises(ConfigError):
             AnalysisConfig(join_point_kinds=frozenset({"invoke", "sequence"}))
+
+    def test_join_point_kinds_must_be_a_collection_of_names(self):
+        # a lone string would otherwise be read letter by letter
+        for value in ("invoke", b"invoke", 3, [b"invoke"], ["invoke", None], [["invoke"]]):
+            with pytest.raises(ConfigError, match="^join-point kinds must be a collection of kind names, got "):
+                AnalysisConfig(join_point_kinds=value)
+        assert AnalysisConfig(join_point_kinds=("invoke",)).join_point_kinds == frozenset({"invoke"})
 
     def test_count_mode_checked(self):
         with pytest.raises(ConfigError):

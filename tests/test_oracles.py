@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -224,6 +225,48 @@ def test_process_adaptability_agrees_with_recursive_aggregate():
         assert join_point_weights(process, config) == oracles.join_point_weights(process, config)
         raised += isinstance(expected[0], type)  # an error outcome starts with the error class
     assert 0 < raised < 2000
+
+
+PRIMES = [p for p in range(2, 180) if all(p % d for d in range(2, p))]  # the first 40 primes
+
+
+def _branch(rng: random.Random) -> Activity:
+    """A join point, an inert assign, or a sequence that may hold either."""
+    kind = rng.choice(("invoke", "receive", "reply", "assign", "sequence"))
+    if kind == "sequence":
+        return Activity("sequence", children=(Activity("assign"), Activity(rng.choice(("invoke", "assign")))))
+    return Activity(kind)
+
+
+def _prime_switches(rng: random.Random, nested: bool) -> ProcessModel:
+    """Switches and picks with the first 40 primes as branch counts, in shuffled order:
+    side by side in one sequence, or each in a branch of the one before."""
+    primes = rng.sample(PRIMES, len(PRIMES))
+    if not nested:
+        switches = [Activity(rng.choice(("switch", "pick")), children=tuple(_branch(rng) for _ in range(p)))
+                    for p in primes]
+        return ProcessModel("wide", Activity("sequence", children=(Activity("assign"), *switches)))
+    inner = Activity("invoke")
+    for p in primes:
+        branches = [_branch(rng) for _ in range(p - 1)]
+        branches.insert(rng.randrange(p), Activity("sequence", children=(Activity("assign"), inner)))
+        inner = Activity(rng.choice(("switch", "pick")), children=tuple(branches))
+    return ProcessModel("nested", Activity("flow", children=(inner, Activity("reply"))))
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["wide", "nested"])
+def test_aggregation_agrees_with_the_oracles_at_hundreds_of_bits(nested):
+    rng = random.Random(60620 + nested)
+    process = _prime_switches(rng, nested)
+    clamped = AnalysisConfig(reference_value=2, join_point_kinds={"invoke", "assign"}, count_mode="raw-clamped")
+    for config in (AnalysisConfig(), clamped):
+        profile = VariabilityProfile.from_assignments(_random_assignments(rng, process, config))
+        expected = oracles.aggregate_process(process, profile, config)
+        assert process_adaptability(process, profile, config).nodes == expected
+        weights = join_point_weights(process, config)
+        assert weights == oracles.join_point_weights(process, config)
+        # the weights' common denominator: the big-integer path is taken
+        assert math.lcm(*(weight.denominator for weight in weights.values())).bit_length() > 200
 
 
 @pytest.mark.parametrize("count_mode", ["set", "raw-clamped"])
