@@ -116,15 +116,15 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
     # contain every activity.
     at_root = True
     ranks: Sequence[int] = ()
-    for position, step in enumerate(selector.steps):
-        found = index.by_kind.get(step.element, ())
-        if step.predicates:
-            (attribute, value), *rest = step.predicates
-            found = index.ranks_with(step.element, attribute, value)
+    for position, (element, predicates) in enumerate(selector.steps):
+        found = index.by_kind.get(element, ())
+        if predicates:
+            (attribute, value), *rest = predicates
+            found = index.ranks_with(element, attribute, value)
             if rest:
                 found = [rank for rank in found if _predicates_hold(rest, index.activities[rank])]
         ranks = found if at_root else _within(found, ranks, index.ends)
-        at_root = position == 0 and step.element == "process" and _predicates_hold(step.predicates, process)
+        at_root = position == 0 and element == "process" and _predicates_hold(predicates, process)
         if not ranks and not at_root:
             break
     return [index.paths[rank] for rank in ranks]

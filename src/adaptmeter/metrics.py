@@ -140,12 +140,8 @@ def _weights(index: ProcessIndex, config: AnalysisConfig) -> tuple[list[int], li
     for rank in range(1, len(live)):
         parent = parents[rank]
         products[rank] = products[parent] * divisors[parent] if live[rank] else 0
-    # Trees repeat few products, so divide once per distinct one.
-    distinct = set(products) - {0}
-    scale = lcm(*distinct)
-    shares = {product: scale // product for product in distinct}
-    shares[0] = 0
-    return divisors, [shares[product] for product in products], scale
+    scale = lcm(*set(products) - {0})
+    return divisors, [scale // product if product else 0 for product in products], scale
 
 
 def process_adaptability(

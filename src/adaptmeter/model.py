@@ -107,7 +107,7 @@ class Activity(Record):
             raise StructuralError(f"<{kind}> requires at least one branch")
         _set(self, "kind", kind)
         _set(self, "name", name)
-        _set(self, "attributes", {} if attributes is None else attributes)
+        _set(self, "attributes", dict(attributes or {}))
         _set(self, "children", children)
 
     @property
@@ -245,7 +245,7 @@ class ProcessModel(Record):
             raise StructuralError("process root activity must be structured")
         _set(self, "name", name)
         _set(self, "root", root)
-        _set(self, "attributes", {} if attributes is None else attributes)
+        _set(self, "attributes", dict(attributes or {}))
 
     @property
     def index(self) -> ProcessIndex:

@@ -24,18 +24,16 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _SPACE_RE = re.compile(r"\s*")  # \s matches what str.isspace does
 
 
-class SelectorStep(Record):
-    __slots__ = ("element", "predicates")
-
-    def __init__(self, element: str, predicates: tuple[tuple[str, str], ...] = ()) -> None:
-        _set(self, "element", element)
-        _set(self, "predicates", predicates)
-
-
 class PointcutSelector(Record):
+    """A parsed selector: one ``(element, predicates)`` pair per step.
+
+    Each step's predicates are a tuple of ``(attribute, value)`` pairs,
+    all of which must hold.
+    """
+
     __slots__ = ("steps",)
 
-    def __init__(self, steps: tuple[SelectorStep, ...]) -> None:
+    def __init__(self, steps: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]) -> None:
         _set(self, "steps", steps)
 
     def __str__(self) -> str:
@@ -88,9 +86,9 @@ def parse_selector(text: str) -> PointcutSelector:
                     raise SelectorSyntax(f"expected ']' or 'and' at position {pos} in {text!r}")
                 pos += 3
             pos += 1
-        steps.append(SelectorStep(element, tuple(predicates)))
+        steps.append((element, tuple(predicates)))
         pos = skip(text, pos).end()
-    first = steps[0].element
+    first = steps[0][0]
     if first != "process" and first not in ACTIVITY_KINDS:
         raise SelectorSyntax(f"selector must start at //process or an activity kind, got //{first}")
     return PointcutSelector(tuple(steps))
@@ -107,9 +105,9 @@ def render_selector(selector: PointcutSelector) -> str:
     back as a different selector.
     """
     parts = []
-    for step in selector.steps:
-        parts.append(f"//{step.element}")
-        for attribute, value in step.predicates:
+    for element, predicates in selector.steps:
+        parts.append(f"//{element}")
+        for attribute, value in predicates:
             quote = "'" if '"' in value else '"'
             if quote in value:
                 raise SelectorSyntax(f"predicate value {value!r} holds both quote characters, which no selector "

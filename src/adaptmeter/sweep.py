@@ -1,9 +1,11 @@
 """Incremental-variability sweeps.
 
-A slot is one (join point, advice type) attachment possibility; a
-process with j join points has 3j slots. A sweep case fills the slots
-in some order and records the process adaptability after each addition,
-producing a monotone series from the empty profile to saturation.
+A slot is one attachment possibility: a ``(path, advice_type)`` pair,
+the pair `VariabilityProfile.from_assignments` takes. A process with j
+join points has 3j slots. A sweep case fills the slots in some order,
+a tuple of those pairs, and records the process adaptability after each
+addition, producing a monotone series from the empty profile to
+saturation.
 `run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
 reports the min/mean/max envelope over every subset of slots per count.
 It reads the envelope off one sorted list of per-slot marginal gains
@@ -23,21 +25,13 @@ from .metrics import join_point_weights, variability_degree
 from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, find_join_points
 
 
-class VariabilitySlot(Record):
-    __slots__ = ("path", "advice_type")
-
-    def __init__(self, path: ActivityPath, advice_type: str) -> None:
-        _set(self, "path", path)
-        _set(self, "advice_type", advice_type)
-
-
 class SweepCase(Record):
     """One placement order and its PAM-per-count series (counts 0..slots)."""
 
     __slots__ = ("case_id", "order", "series")
 
     def __init__(
-        self, case_id: int, order: tuple[VariabilitySlot, ...], series: tuple[tuple[int, Fraction], ...]
+        self, case_id: int, order: tuple[tuple[ActivityPath, str], ...], series: tuple[tuple[int, Fraction], ...]
     ) -> None:
         _set(self, "case_id", case_id)
         _set(self, "order", order)
@@ -54,18 +48,14 @@ class SweepResult(Record):
         _set(self, "seed", seed)
 
 
-def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[VariabilitySlot]:
+def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
     """All slots, join points in pre-order, advice types in canonical order."""
-    return [
-        VariabilitySlot(path, advice_type)
-        for path, _ in find_join_points(process, config)
-        for advice_type in ADVICE_TYPES
-    ]
+    return [(path, advice_type) for path, _ in find_join_points(process, config) for advice_type in ADVICE_TYPES]
 
 
 def sweep_case(
     process: ProcessModel,
-    order: Sequence[VariabilitySlot],
+    order: Sequence[tuple[ActivityPath, str]],
     config: AnalysisConfig,
     case_id: int = 0,
 ) -> SweepCase:
@@ -83,25 +73,26 @@ def sweep_case(
     pam = Fraction(0)
     series = [(0, pam)]
     for count, slot in enumerate(order, 1):
-        vv = vvs.get(slot.path, 0)
-        raised = vv < reference if clamp else (slot.path, slot.advice_type) not in placed
-        placed.add((slot.path, slot.advice_type))
-        if raised and slot.path in steps:
+        path = slot[0]
+        vv = vvs.get(path, 0)
+        raised = vv < reference if clamp else slot not in placed
+        placed.add(slot)
+        if raised and path in steps:
             variability_degree(vv + 1, reference)  # raises ReferenceTooSmall past R
-            vvs[slot.path] = vv + 1
-            pam += steps[slot.path]
+            vvs[path] = vv + 1
+            pam += steps[path]
         series.append((count, pam))
     return SweepCase(case_id, tuple(order), tuple(series))
 
 
-def _permuted(slots: Sequence[VariabilitySlot], rng: random.Random) -> list[VariabilitySlot]:
+def _permuted(slots: Sequence[tuple[ActivityPath, str]], rng: random.Random) -> tuple[tuple[ActivityPath, str], ...]:
     # Fisher-Yates over randrange keeps the draw sequence under our
     # control, so equal seeds give equal orders on any interpreter.
     order = list(slots)
     for i in range(len(order) - 1, 0, -1):
         j = rng.randrange(i + 1)
         order[i], order[j] = order[j], order[i]
-    return order
+    return tuple(order)
 
 
 def run_sweep(
@@ -112,19 +103,19 @@ def run_sweep(
     Orders are drawn distinct while the permutation space allows it;
     identical inputs and seed give an identical result.
     """
-    if num_cases < 1:
-        raise ValueError("num_cases must be >= 1")
+    if type(num_cases) is not int or num_cases < 1:
+        raise ValueError("num_cases must be an integer >= 1")
     slots = enumerate_slots(process, config)
     rng = random.Random(seed)
-    seen: set[tuple[VariabilitySlot, ...]] = set()
+    seen: set[tuple[tuple[ActivityPath, str], ...]] = set()
     cases = []
     for case_id in range(num_cases):
         order = _permuted(slots, rng)
         attempts = 0
-        while tuple(order) in seen and attempts < 1000 and len(seen) < math.factorial(len(slots)):
+        while order in seen and attempts < 1000 and len(seen) < math.factorial(len(slots)):
             order = _permuted(slots, rng)
             attempts += 1
-        seen.add(tuple(order))
+        seen.add(order)
         cases.append(sweep_case(process, order, config, case_id=case_id))
     return SweepResult(process.name, len(slots), tuple(cases), seed)
 

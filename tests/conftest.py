@@ -23,30 +23,30 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def travel_process():
     """The worked-example process: root sequence with a two-branch switch, 5 join points."""
-    return parse_process((FIXTURES_DIR / "travel_booking.bpel").read_text())
+    return parse_process((FIXTURES_DIR / "travel_booking.bpel").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")
 def linear_process():
     """The flat variant: receive, two invokes (bookFlight, bookHotel), reply."""
-    return parse_process((FIXTURES_DIR / "travel_booking_linear.bpel").read_text())
+    return parse_process((FIXTURES_DIR / "travel_booking_linear.bpel").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")
 def mini_process():
     """Reduced 3-join-point (9-slot) process for exhaustive sweeps."""
-    return parse_process((FIXTURES_DIR / "booking_mini.bpel").read_text())
+    return parse_process((FIXTURES_DIR / "booking_mini.bpel").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")
 def travel_aspects():
     """Six aspects attaching 3/2/1 advice types to the three invokes."""
-    return [parse_aspect(path.read_text()) for path in sorted((FIXTURES_DIR / "aspects").glob("*.xml"))]
+    return [parse_aspect(path.read_text(encoding="utf-8")) for path in sorted((FIXTURES_DIR / "aspects").glob("*.xml"))]
 
 
 @pytest.fixture(scope="session")
 def verify_aspect():
-    return parse_aspect((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+    return parse_aspect((FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

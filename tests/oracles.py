@@ -29,7 +29,7 @@ from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.metrics import variability_degree, variability_value
 from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, is_join_point
 from adaptmeter.parsing import Aspect, Pointcut
-from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector
+from adaptmeter.selectors import PointcutSelector, parse_selector
 
 BRANCHING = ("switch", "pick")
 BRANCHING_KINDS = frozenset(BRANCHING)
@@ -120,10 +120,11 @@ def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[Ac
     return weights
 
 
-def _step_holds(step: SelectorStep, kind: str, name, attributes) -> bool:
-    if step.element != kind:
+def _step_holds(step: tuple[str, tuple[tuple[str, str], ...]], kind: str, name, attributes) -> bool:
+    element, predicates = step
+    if element != kind:
         return False
-    return all((name if key == "name" else attributes.get(key)) == value for key, value in step.predicates)
+    return all((name if key == "name" else attributes.get(key)) == value for key, value in predicates)
 
 
 def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
@@ -241,7 +242,7 @@ def _parse_predicates(scanner: _Scanner) -> tuple[tuple[str, str], ...]:
 def parse_selector_scanning(text: str) -> PointcutSelector:
     """The selector parser as a character scanner object, the form the library's one loop replaced."""
     scanner = _Scanner(text)
-    steps: list[SelectorStep] = []
+    steps: list[tuple[str, tuple[tuple[str, str], ...]]] = []
     scanner.skip_ws()
     if scanner.at_end():
         raise SelectorSyntax("empty selector")
@@ -249,9 +250,9 @@ def parse_selector_scanning(text: str) -> PointcutSelector:
         if not scanner.take("//"):
             raise SelectorSyntax(f"expected descendant axis '//' at position {scanner.pos} in {text!r}")
         element = scanner.expect_name("element name")
-        steps.append(SelectorStep(element, _parse_predicates(scanner)))
+        steps.append((element, _parse_predicates(scanner)))
         scanner.skip_ws()
-    first = steps[0].element
+    first = steps[0][0]
     if first != "process" and first not in ACTIVITY_KINDS:
         raise SelectorSyntax(f"selector must start at //process or an activity kind, got //{first}")
     return PointcutSelector(tuple(steps))
@@ -261,7 +262,7 @@ def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[t
     """PAM after each slot, re-aggregating the whole tree at every count."""
     series = []
     for count in range(len(order) + 1):
-        profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in order[:count])
+        profile = VariabilityProfile.from_assignments(order[:count])
         series.append((count, aggregate_process(process, profile, config)[0].vd))
     return series
 

@@ -23,6 +23,7 @@ from adaptmeter.selectors import parse_selector
 from adaptmeter.sweep import enumerate_slots
 from conftest import FIXTURES_DIR, REPO_ROOT, SRC_DIR
 from randtrees import random_process, random_profile, shuffle_with_profile
+import oracles
 
 TRAVEL = str(FIXTURES_DIR / "travel_booking.bpel")
 LINEAR = str(FIXTURES_DIR / "travel_booking_linear.bpel")
@@ -34,9 +35,7 @@ FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlig
 
 
 def _saturated_profile(process, config):
-    return VariabilityProfile.from_assignments(
-        (slot.path, slot.advice_type) for slot in enumerate_slots(process, config)
-    )
+    return VariabilityProfile.from_assignments(enumerate_slots(process, config))
 
 
 def test_criterion_1_worked_example_reproduction(capsys, travel_process, travel_aspects, config):
@@ -113,9 +112,12 @@ def test_criterion_4_oracle_equivalence(config):
         oracle = linear_weight_oracle(process, profile, config)
         assert aggregated == oracle
         assert abs(float(aggregated) - float(oracle)) < 1e-12
+        # Both sides above read one weight table; the recursive fold reads none.
+        assert aggregated == oracles.aggregate_process(process, profile, config)[0].vd
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    print(f"PASS criterion 4: tree aggregation == weight oracle on 1000 random trees ({elapsed:.2f}s)")
+    print(f"PASS criterion 4: tree aggregation == weight oracle == recursive fold on 1000 random trees "
+          f"({elapsed:.2f}s)")
 
 
 def test_criterion_5_monotonicity(config):
@@ -126,9 +128,7 @@ def test_criterion_5_monotonicity(config):
         rng.shuffle(order)
         previous = Fraction(0)
         for count in range(len(order) + 1):
-            profile = VariabilityProfile.from_assignments(
-                (slot.path, slot.advice_type) for slot in order[:count]
-            )
+            profile = VariabilityProfile.from_assignments(order[:count])
             pam = process_adaptability(process, profile, config).pam
             assert pam >= previous
             previous = pam

@@ -115,12 +115,12 @@ class TestAnalyze:
         assert parse_process(first) == parse_process(second)
         aspect = tmp_path / "aspect.xml"
         aspect.write_text('<aspect name="A"><pointcut>//switch//invoke</pointcut><pointcut>//pick//receive'
-                          '</pointcut><advice type="before"><invoke/></advice></aspect>')
+                          '</pointcut><advice type="before"><invoke/></advice></aspect>', encoding="utf-8")
         outputs = []
         for index, text in enumerate((first, second)):
             (tmp_path / str(index)).mkdir()
             process = tmp_path / str(index) / "p.bpel"
-            process.write_text(text)
+            process.write_text(text, encoding="utf-8")
             outputs.append([run_cli(capsys, "analyze", str(process), "--aspects", str(aspect), *fmt)
                             for fmt in ((), ("--format", "json"))])
         assert outputs[0] == outputs[1]
@@ -134,7 +134,7 @@ class TestAnalyze:
 
     def test_parse_error_exits_1_with_file_line_context(self, tmp_path, capsys):
         bad = tmp_path / "bad.bpel"
-        bad.write_text('<process name="p">\n<sequence>\n<foreach/>\n</sequence>\n</process>')
+        bad.write_text('<process name="p">\n<sequence>\n<foreach/>\n</sequence>\n</process>', encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", str(bad))
         assert code == 1
         assert out == ""
@@ -146,7 +146,8 @@ class TestAnalyze:
         bad.write_text(
             '<process name="p">\n<sequence>\n<switch>\n'
             "<otherwise><invoke/></otherwise>\n<otherwise><invoke/></otherwise>\n"
-            "</switch>\n</sequence>\n</process>"
+            "</switch>\n</sequence>\n</process>",
+            encoding="utf-8",
         )
         code, out, err = run_cli(capsys, "analyze", str(bad))
         assert code == 1
@@ -155,7 +156,7 @@ class TestAnalyze:
 
     def test_malformed_xml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.bpel"
-        bad.write_text('<process name="p">\n<sequence>\n</process>')
+        bad.write_text('<process name="p">\n<sequence>\n</process>', encoding="utf-8")
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 1
         assert f"{bad}:3:" in err
@@ -190,7 +191,8 @@ class TestAnalyze:
         aspect = tmp_path / "nowhere.xml"
         aspect.write_text(
             '<aspect name="Nowhere"><pointcut>//invoke[@operation="cancel"]</pointcut>'
-            '<advice type="before"><invoke/></advice></aspect>'
+            '<advice type="before"><invoke/></advice></aspect>',
+            encoding="utf-8",
         )
         code, out, err = run_cli(capsys, "analyze", TRAVEL, "--aspects", str(aspect))
         assert code == 0
@@ -198,9 +200,10 @@ class TestAnalyze:
         assert "matched no activities" not in out
 
     def test_aspect_directory_discovery_skips_non_aspects(self, tmp_path, capsys):
-        (tmp_path / "a_process.xml").write_text('<process name="x"><sequence/></process>')
-        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
-        (tmp_path / "notes.txt").write_text("not xml")
+        (tmp_path / "a_process.xml").write_text('<process name="x"><sequence/></process>', encoding="utf-8")
+        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+        (tmp_path / "notes.txt").write_text("not xml", encoding="utf-8")
         (tmp_path / "old.xml").mkdir()
         code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
         assert code == 0
@@ -209,9 +212,10 @@ class TestAnalyze:
         assert "PAM = 0.0833 (1/12)" in out
 
     def test_aspect_directory_skips_unreadable_xml_with_a_warning(self, tmp_path, capsys):
-        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
         broken = tmp_path / "broken.xml"
-        broken.write_text("<aspect name='x'>")
+        broken.write_text("<aspect name='x'>", encoding="utf-8")
         latin = tmp_path / "latin.xml"
         latin.write_bytes('<aspect name="caf\u00e9"/>'.encode("latin-1"))
         code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
@@ -239,7 +243,8 @@ class TestAnalyze:
         bad = tmp_path / "entity.bpel"
         bad.write_text(
             '<?xml version="1.0"?>\n<!DOCTYPE process [<!ENTITY x "hello">]>\n'
-            '<process name="&x;"><sequence><invoke/></sequence></process>\n'
+            '<process name="&x;"><sequence><invoke/></sequence></process>\n',
+            encoding="utf-8",
         )
         code, out, err = run_cli(capsys, "analyze", str(bad))
         assert code == 1
@@ -248,16 +253,19 @@ class TestAnalyze:
 
     def test_directly_named_doctype_aspect_file_exits_1(self, tmp_path, capsys):
         aspect = tmp_path / "dtd.xml"
-        aspect.write_text("<!DOCTYPE aspect>\n" + (FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        aspect.write_text("<!DOCTYPE aspect>\n"
+                          + (FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"), encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(aspect))
         assert code == 1
         assert out == ""
         assert err == f"error: {aspect}:1: <!DOCTYPE> declarations are not allowed\n"
 
     def test_aspect_directory_skips_doctype_file_with_a_warning(self, tmp_path, capsys):
-        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        (tmp_path / "verify.xml").write_text((FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
         dtd = tmp_path / "dtd.xml"
-        dtd.write_text("<!DOCTYPE aspect>\n" + (FIXTURES_DIR / "verify_request.aspect.xml").read_text())
+        dtd.write_text("<!DOCTYPE aspect>\n" + (FIXTURES_DIR / "verify_request.aspect.xml").read_text(encoding="utf-8"),
+                       encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", LINEAR, "--aspects", str(tmp_path))
         assert code == 0
         assert "PAM = 0.0833 (1/12)" in out
@@ -266,14 +274,16 @@ class TestAnalyze:
     def test_deep_nesting_analyzes(self, tmp_path, capsys):
         deep = tmp_path / "deep.bpel"
         depth = 1200
-        deep.write_text(f'<process name="deep">{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}</process>')
+        deep.write_text(f'<process name="deep">{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}</process>',
+                        encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", str(deep))
         assert code == 0, err
         assert "PAM = 0.0000" in out
 
     def test_nesting_limit_exits_1_with_bounded_memory(self, tmp_path):
         deep = tmp_path / "deep.bpel"
-        deep.write_text(f'<process name="deep">{"<sequence>" * 10**5}<invoke/>{"</sequence>" * 10**5}</process>')
+        deep.write_text(f'<process name="deep">{"<sequence>" * 10**5}<invoke/>{"</sequence>" * 10**5}</process>',
+                        encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         with subprocess.Popen([sys.executable, "-m", "adaptmeter", "analyze", str(deep)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
@@ -289,7 +299,8 @@ class TestAnalyze:
         aspect = tmp_path / "off.xml"
         aspect.write_text(
             '<aspect name="Off" enabled="false"><pointcut>//invoke[@operation="bookFlight"]</pointcut>'
-            '<advice type="before"><invoke/></advice></aspect>'
+            '<advice type="before"><invoke/></advice></aspect>',
+            encoding="utf-8",
         )
         _, out_default, _ = run_cli(capsys, "analyze", LINEAR, "--aspects", str(aspect))
         assert "PAM = 0.0000" in out_default
@@ -319,7 +330,7 @@ class TestSweepCommand:
 
     def test_join_point_free_process(self, tmp_path, capsys):
         inert = tmp_path / "inert.bpel"
-        inert.write_text('<process name="inert"><sequence><assign/></sequence></process>')
+        inert.write_text('<process name="inert"><sequence><assign/></sequence></process>', encoding="utf-8")
         code, out, _ = run_cli(capsys, "sweep", str(inert), "--cases", "1")
         assert code == 0
         assert out.splitlines() == ["case_id,count,pam", "0,0,0.000000"]
@@ -348,7 +359,7 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", MINI, "--cases", "1", "--seed", "5", "--out", str(target))
         assert code == 0
         assert out == ""
-        content = target.read_text()
+        content = target.read_text(encoding="utf-8")
         assert content.startswith("case_id,count,pam\n")
         assert content.endswith("0,9,1.000000\n")
 
@@ -384,10 +395,11 @@ class TestCompareCommand:
         extra_dir = tmp_path / "extra"
         extra_dir.mkdir()
         for path in (FIXTURES_DIR / "aspects").glob("*.xml"):
-            (extra_dir / path.name).write_text(path.read_text())
+            (extra_dir / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
         (extra_dir / "zz_more.xml").write_text(
             '<aspect name="AuditReply"><pointcut>//reply</pointcut>'
-            '<advice type="after"><invoke/></advice></aspect>'
+            '<advice type="after"><invoke/></advice></aspect>',
+            encoding="utf-8",
         )
         code, out, _ = run_cli(
             capsys, "compare", TRAVEL, TRAVEL,
@@ -435,8 +447,10 @@ class TestCompareCommand:
         # Sibling indices order first, then kinds; plain text order would put
         # flow[1]/invoke[0] before invoke[1].
         left, right = tmp_path / "left.bpel", tmp_path / "right.bpel"
-        left.write_text('<process name="L"><sequence><receive/><flow><invoke/></flow><invoke/></sequence></process>')
-        right.write_text('<process name="R"><sequence><receive/><invoke/><reply/></sequence></process>')
+        left.write_text('<process name="L"><sequence><receive/><flow><invoke/></flow><invoke/></sequence></process>',
+                        encoding="utf-8")
+        right.write_text('<process name="R"><sequence><receive/><invoke/><reply/></sequence></process>',
+                         encoding="utf-8")
         code, out, _ = run_cli(capsys, "compare", str(left), str(right), "--format", "json")
         assert code == 0
         rows = json.loads(out)["join_points"]
@@ -480,7 +494,7 @@ class TestClosedStdout:
         # Every report of this process is larger than a 64 KB pipe buffer.
         path = tmp_path_factory.mktemp("closed") / "big.bpel"
         invokes = "".join(f'<invoke name="call{i}" operation="op{i}"/>' for i in range(2000))
-        path.write_text(f'<process name="big"><sequence>{invokes}</sequence></process>')
+        path.write_text(f'<process name="big"><sequence>{invokes}</sequence></process>', encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -524,7 +538,7 @@ class TestClosedStreams:
     def _run(self, tmp_path, argv, unbuffered, **streams) -> subprocess.CompletedProcess:
         aspect = tmp_path / "nowhere.xml"
         aspect.write_text('<aspect name="N"><pointcut>//reply[@name="x"]</pointcut>'
-                          '<advice type="before"><invoke/></advice></aspect>')
+                          '<advice type="before"><invoke/></advice></aspect>', encoding="utf-8")
         argv = [str(aspect) if arg == "NOWHERE" else arg for arg in argv]
         return subprocess.run([sys.executable, "-m", "adaptmeter", *argv], env=_adapt_meter_env(unbuffered),
                               **{"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, **streams})
@@ -594,7 +608,7 @@ class TestDeterminism:
 def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports adaptmeter from the source tree."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=check)
+    return subprocess.run([sys.executable, *args], capture_output=True, encoding="utf-8", env=env, check=check)
 
 
 def _readme_public_names() -> list[str]:
@@ -733,11 +747,13 @@ def test_each_call_writes_its_warnings_in_one_write(monkeypatch, tmp_path):
     # A reader that closed stderr after the first of several writes made
     # the exit status depend on timing.
     (tmp_path / "assign.xml").write_text(
-        '<aspect name="Assign"><pointcut>//assign</pointcut><advice type="after"><invoke/></advice></aspect>'
+        '<aspect name="Assign"><pointcut>//assign</pointcut><advice type="after"><invoke/></advice></aspect>',
+        encoding="utf-8",
     )
     (tmp_path / "bad.xml").write_bytes(b"<aspect name='\xff'/>")
     (tmp_path / "none.xml").write_text(
-        '<aspect name="None"><pointcut>//reply[@name="x"]</pointcut><advice type="before"><invoke/></advice></aspect>'
+        '<aspect name="None"><pointcut>//reply[@name="x"]</pointcut><advice type="before"><invoke/></advice></aspect>',
+        encoding="utf-8",
     )
     stderr = _RecordingStream()
     monkeypatch.setattr(sys, "stderr", stderr)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
+from adaptmeter.matching import match_selector
 from adaptmeter.model import ProcessIndex, is_join_point, iter_activities, resolve_path
+from adaptmeter.selectors import parse_selector
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
 
@@ -198,6 +200,22 @@ class TestProcessModelInvariants:
     def test_basic_root_rejected(self):
         with pytest.raises(StructuralError):
             ProcessModel(name="p", root=Activity("invoke"))
+
+    def test_models_keep_a_copy_of_the_attributes_they_are_given(self):
+        def build(operation: str, version: str) -> ProcessModel:
+            invoke = Activity("invoke", "i", {"operation": operation})
+            return ProcessModel("p", Activity("sequence", children=(invoke,)), {"version": version})
+
+        invoke_attributes, process_attributes = {"operation": "book"}, {"version": "1"}
+        invoke = Activity("invoke", "i", invoke_attributes)
+        process = ProcessModel("p", Activity("sequence", children=(invoke,)), process_attributes)
+        book = parse_selector('//process[@version="1"]//invoke[@operation="book"]')
+        booked = match_selector(book, process)
+        invoke_attributes["operation"], process_attributes["version"] = "cancel", "2"
+        assert process == build("book", "1")
+        assert len(booked) == 1 and match_selector(book, process) == booked
+        assert match_selector(parse_selector('//invoke[@operation="cancel"]'), process) == []
+        assert match_selector(parse_selector('//process[@version="2"]//invoke'), process) == []
 
 
 class TestAnalysisConfig:

@@ -19,11 +19,11 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile, match_selector
 from adaptmeter.metrics import join_point_weights, variability_value
-from adaptmeter.model import ADVICE_TYPES, iter_activities
+from adaptmeter.model import ADVICE_TYPES, ActivityPath, iter_activities
 from adaptmeter.parsing import Aspect, Pointcut
 from adaptmeter.report import render_text
-from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector, render_selector
-from adaptmeter.sweep import VariabilitySlot, enumerate_slots, sweep_case
+from adaptmeter.selectors import PointcutSelector, parse_selector, render_selector
+from adaptmeter.sweep import enumerate_slots, sweep_case
 import oracles
 from randtrees import random_process
 
@@ -38,7 +38,7 @@ CONFIGS = [
 ]
 
 
-def _random_step(rng: random.Random, process, element: str) -> SelectorStep:
+def _random_step(rng: random.Random, process, element: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     predicates = []
     if element == "process" and rng.random() < 0.5:
         predicates.append(("name", process.name if rng.random() < 0.7 else "other"))
@@ -51,7 +51,7 @@ def _random_step(rng: random.Random, process, element: str) -> SelectorStep:
             predicates.append(("operation", source.attributes.get("operation", "op0")))
         else:
             predicates.append(("operation", f"op{rng.randrange(50)}"))
-    return SelectorStep(element, tuple(predicates))
+    return element, tuple(predicates)
 
 
 def _random_selector(rng: random.Random, process) -> PointcutSelector:
@@ -115,7 +115,7 @@ def _random_aspects(rng: random.Random, process, config: AnalysisConfig) -> list
     def selector() -> PointcutSelector:
         if rng.random() < 0.5:
             return _random_selector(rng, process)
-        return PointcutSelector((SelectorStep(rng.choice(kinds)),))
+        return PointcutSelector(((rng.choice(kinds), ()),))
 
     return [
         Aspect(f"aspect{rng.randrange(2)}",
@@ -160,7 +160,7 @@ def _decorated(rng: random.Random, activity: Activity) -> Activity:
     return Activity(activity.kind, name, drawn, children)
 
 
-def _conjunctive_step(rng: random.Random, process, element: str) -> SelectorStep:
+def _conjunctive_step(rng: random.Random, process, element: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Zero to three predicates, mostly read off one node of the kind.
 
     An attribute may repeat with another value, and ``condition`` is on
@@ -178,7 +178,7 @@ def _conjunctive_step(rng: random.Random, process, element: str) -> SelectorStep
         actual = source and (source.name if attribute == "name" else source.attributes.get(attribute))
         values = ATTRIBUTE_VALUES.get(attribute, ("c0",))
         predicates.append((attribute, actual or values[rng.randrange(len(values))]))
-    return SelectorStep(element, tuple(predicates))
+    return element, tuple(predicates)
 
 
 def test_match_selector_with_conjunctive_predicates_agrees_with_naive_matcher():
@@ -200,12 +200,12 @@ def test_match_selector_with_conjunctive_predicates_agrees_with_naive_matcher():
             expected = oracles.match_selector(selector, process)
             assert match_selector(selector, process) == expected, str(selector)
             tallies["hits"] += bool(expected)
-            tallies["multi_hits"] += bool(expected) and any(len(step.predicates) > 1 for step in selector.steps)
-            for step in selector.steps:
-                attributes = [attribute for attribute, _ in step.predicates]
-                tallies["conflicts"] += len(set(step.predicates)) > len(set(attributes))
-                if step.predicates:
-                    looked_up.setdefault((step.element, attributes[0]), set()).add(step.predicates[0][1])
+            tallies["multi_hits"] += bool(expected) and any(len(predicates) > 1 for _, predicates in selector.steps)
+            for element, predicates in selector.steps:
+                attributes = [attribute for attribute, _ in predicates]
+                tallies["conflicts"] += len(set(predicates)) > len(set(attributes))
+                if predicates:
+                    looked_up.setdefault((element, attributes[0]), set()).add(predicates[0][1])
         kinds_by_operation = {kind for kind, attribute in looked_up if attribute == "operation"}
         tallies["shared"] += len(kinds_by_operation & {"invoke", "receive", "reply"}) > 1
         tallies["reused"] += any(len(values) > 1 for values in looked_up.values())
@@ -297,11 +297,11 @@ def test_integer_aggregation_and_shared_details_agree_with_node_by_node_oracles(
     assert raised > 0 if count_mode == "set" and reference_value < 3 else raised == 0
 
 
-def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[VariabilitySlot]:
+def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
     order = enumerate_slots(process, config)
     order += [order[rng.randrange(len(order))] for _ in range(rng.randrange(4))] if order else []
     paths = [path for path, activity in iter_activities(process) if activity.kind not in config.join_point_kinds]
-    order += [VariabilitySlot(paths[rng.randrange(len(paths))], "before") for _ in range(2)] if paths else []
+    order += [(paths[rng.randrange(len(paths))], "before") for _ in range(2)] if paths else []
     rng.shuffle(order)
     return order
 

@@ -182,7 +182,7 @@ class TestParseAspect:
         assert len(verify_aspect.pointcuts) == 1
         pointcut = verify_aspect.pointcuts[0]
         assert pointcut.name == "crosscut1"
-        assert [step.element for step in pointcut.selector.steps] == ["process", "invoke"]
+        assert [element for element, _ in pointcut.selector.steps] == ["process", "invoke"]
 
     def test_bad_declaration_child_rejected_with_its_line(self):
         for section, wrong in (("partnerLinks", "variable"), ("variables", "partnerLink")):
@@ -285,14 +285,14 @@ class TestLoadAspects:
     GOOD = _aspect_doc('<pointcut>//invoke</pointcut><advice type="before"><invoke/></advice>')
 
     def test_directory_scan(self, tmp_path):
-        (tmp_path / "b.xml").write_text(self.GOOD.replace('name="A"', 'name="B"'))
-        (tmp_path / "a.xml").write_text(self.GOOD)
-        (tmp_path / "notes.txt").write_text(self.GOOD)
-        (tmp_path / "process.xml").write_text(MINIMAL_PROCESS)
-        (tmp_path / "broken.xml").write_text("<aspect name='x'>")
+        (tmp_path / "b.xml").write_text(self.GOOD.replace('name="A"', 'name="B"'), encoding="utf-8")
+        (tmp_path / "a.xml").write_text(self.GOOD, encoding="utf-8")
+        (tmp_path / "notes.txt").write_text(self.GOOD, encoding="utf-8")
+        (tmp_path / "process.xml").write_text(MINIMAL_PROCESS, encoding="utf-8")
+        (tmp_path / "broken.xml").write_text("<aspect name='x'>", encoding="utf-8")
         (tmp_path / "latin.xml").write_bytes(b"<aspect name='\xe9'/>")
         (tmp_path / "dir.xml").mkdir()
-        (tmp_path / "dir.xml" / "c.xml").write_text(self.GOOD.replace('name="A"', 'name="C"'))
+        (tmp_path / "dir.xml" / "c.xml").write_text(self.GOOD.replace('name="A"', 'name="C"'), encoding="utf-8")
         aspects, notes = load_aspects([str(tmp_path)])
         assert [aspect.name for aspect in aspects] == ["A", "B"]
         broken, latin = tmp_path / "broken.xml", tmp_path / "latin.xml"
@@ -302,24 +302,24 @@ class TestLoadAspects:
 
     def test_directly_named_files_must_parse(self, tmp_path):
         named = tmp_path / "named.xml"
-        named.write_text(self.GOOD)
+        named.write_text(self.GOOD, encoding="utf-8")
         assert load_aspects([named, named]) == ([parse_aspect(self.GOOD)] * 2, [])
         for text, error in ((MINIMAL_PROCESS, StructuralError), ("<aspect", MalformedXml)):
-            named.write_text(text)
+            named.write_text(text, encoding="utf-8")
             with pytest.raises(error) as excinfo:
                 load_aspects([named])
             assert excinfo.value.source == str(named)
 
     def test_scanned_file_errors_name_their_file(self, tmp_path):
         bad = tmp_path / "bad.xml"
-        bad.write_text(_aspect_doc('<advice type="before"><invoke/></advice>'))
+        bad.write_text(_aspect_doc('<advice type="before"><invoke/></advice>'), encoding="utf-8")
         with pytest.raises(MissingPointcut) as excinfo:
             load_aspects([tmp_path])
         assert (excinfo.value.source, excinfo.value.line) == (str(bad), 1)
 
     def test_a_lone_path_is_refused(self, tmp_path):
         # iterating a str would read each character as a path
-        (tmp_path / "a.xml").write_text(self.GOOD)
+        (tmp_path / "a.xml").write_text(self.GOOD, encoding="utf-8")
         for lone in (str(tmp_path), tmp_path):
             with pytest.raises(TypeError, match="^load_aspects takes a list of paths, not one path: "):
                 load_aspects(lone)
@@ -445,8 +445,8 @@ class TestNestingLimit:
 def test_parsing_leaves_no_cyclic_garbage():
     # Each parsed document's node tree is freed when parsing returns, not
     # left for the cyclic collector.
-    processes = [path.read_text() for path in sorted(FIXTURES_DIR.glob("*.bpel"))]
-    aspects = [path.read_text() for path in sorted(FIXTURES_DIR.glob("**/*.xml"))]
+    processes = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES_DIR.glob("*.bpel"))]
+    aspects = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES_DIR.glob("**/*.xml"))]
     gc.collect()
     gc.disable()
     try:

@@ -24,7 +24,7 @@ from adaptmeter import (
 from adaptmeter.matching import VariabilityProfile, match_selector
 from adaptmeter.model import ADVICE_TYPES, find_join_points
 from adaptmeter.parsing import Aspect, serialize_process
-from adaptmeter.selectors import PointcutSelector, SelectorStep
+from adaptmeter.selectors import PointcutSelector
 import oracles
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=100,
@@ -50,8 +50,7 @@ processes = activities.map(
     lambda root: ProcessModel("p", root if root.is_structured else Activity("sequence", children=(root,)))
 )
 selectors = st.lists(
-    st.builds(
-        SelectorStep,
+    st.tuples(
         st.sampled_from(("process", *BASIC, *STRUCTURED)),
         st.lists(st.tuples(st.sampled_from(("name", "operation")), st.sampled_from(("p", *NAMES[1:], *OPERATIONS))),
                  max_size=2).map(tuple),

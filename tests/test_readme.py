@@ -25,5 +25,5 @@ def test_python_block_runs_without_warnings(block):
     # not change the exit status, so stderr must be empty as well.
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", block],
-                          cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60)
+                          cwd=REPO_ROOT, env=env, capture_output=True, encoding="utf-8", timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")

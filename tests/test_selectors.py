@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from adaptmeter import SelectorSyntax
-from adaptmeter.selectors import PointcutSelector, SelectorStep, parse_selector, render_selector
+from adaptmeter.selectors import PointcutSelector, parse_selector, render_selector
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
 
@@ -18,17 +18,17 @@ class TestParseSelector:
     def test_two_step_selector(self):
         selector = parse_selector(FLIGHT_SELECTOR)
         assert selector.steps == (
-            SelectorStep("process", (("name", "TravelBooking"),)),
-            SelectorStep("invoke", (("operation", "bookFlight"),)),
+            ("process", (("name", "TravelBooking"),)),
+            ("invoke", (("operation", "bookFlight"),)),
         )
 
     def test_bare_element(self):
         selector = parse_selector("//receive")
-        assert selector.steps == (SelectorStep("receive"),)
+        assert selector.steps == (("receive", ()),)
 
     def test_single_quotes(self):
         selector = parse_selector("//invoke[@operation='bookHotel']")
-        assert selector.steps[0].predicates == (("operation", "bookHotel"),)
+        assert selector.steps[0][1] == (("operation", "bookHotel"),)
 
     def test_whitespace_between_steps(self):
         selector = parse_selector('//process[@name="TravelBooking"]\n    //invoke[@operation="bookFlight"]')
@@ -36,11 +36,11 @@ class TestParseSelector:
 
     def test_conjunction_with_and(self):
         selector = parse_selector('//invoke[@operation="book" and @partnerLink="airline"]')
-        assert selector.steps[0].predicates == (("operation", "book"), ("partnerLink", "airline"))
+        assert selector.steps[0][1] == (("operation", "book"), ("partnerLink", "airline"))
 
     def test_chained_bracket_predicates(self):
         selector = parse_selector('//invoke[@operation="book"][@partnerLink="airline"]')
-        assert selector.steps[0].predicates == (("operation", "book"), ("partnerLink", "airline"))
+        assert selector.steps[0][1] == (("operation", "book"), ("partnerLink", "airline"))
 
     def test_function_predicate_rejected(self):
         with pytest.raises(SelectorSyntax):
@@ -95,7 +95,7 @@ class TestRenderSelector:
 
     def test_render_refuses_a_value_with_both_quotes(self):
         value = 'it\'s "x"'
-        selector = PointcutSelector((SelectorStep("invoke", (("name", value),)),))
+        selector = PointcutSelector((("invoke", (("name", value),)),))
         with pytest.raises(SelectorSyntax, match="both quote characters") as excinfo:
             render_selector(selector)
         assert repr(value) in str(excinfo.value)
@@ -103,11 +103,11 @@ class TestRenderSelector:
     @pytest.mark.parametrize(
         "selector",
         [
-            PointcutSelector((SelectorStep("in voke"),)),
-            PointcutSelector((SelectorStep("invoke", (("op name", "x"),)),)),
-            PointcutSelector((SelectorStep("foo"),)),
+            PointcutSelector((("in voke", ()),)),
+            PointcutSelector((("invoke", (("op name", "x"),)),)),
+            PointcutSelector((("foo", ()),)),
             PointcutSelector(()),
-            PointcutSelector((SelectorStep("invoke "),)),
+            PointcutSelector((("invoke ", ()),)),
         ],
         ids=["space-in-element", "space-in-attribute", "first-step-not-an-activity", "no-steps", "reads-back-trimmed"],
     )

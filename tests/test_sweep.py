@@ -35,7 +35,7 @@ def _subset_envelope(process, config):
     for count in range(len(slots) + 1):
         pams = []
         for subset in combinations(slots, count):
-            profile = VariabilityProfile.from_assignments((slot.path, slot.advice_type) for slot in subset)
+            profile = VariabilityProfile.from_assignments(subset)
             pams.append(process_adaptability(process, profile, config).pam)
         rows.append((count, min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
     return rows
@@ -65,10 +65,10 @@ class TestEnumerateSlots:
     def test_travel_fixture_has_fifteen(self, travel_process, config):
         slots = enumerate_slots(travel_process, config)
         assert len(slots) == 15
-        assert len({slot.path for slot in slots}) == 5
+        assert len({path for path, _ in slots}) == 5
         # pre-order by join point, advice types in canonical order within
-        assert [slot.advice_type for slot in slots[:3]] == ["before", "around", "after"]
-        paths = [slot.path for slot in slots]
+        assert [advice_type for _, advice_type in slots[:3]] == ["before", "around", "after"]
+        paths = [path for path, _ in slots]
         assert paths == sorted(paths, key=lambda p: p.order_key)
 
     def test_no_join_points_no_slots(self, config):
@@ -96,7 +96,7 @@ class TestSweepCase:
 
     def test_saturating_one_join_point_first_exposes_its_weight(self, travel_process, config):
         slots = enumerate_slots(travel_process, config)
-        domestic = [slot for slot in slots if "switch" in str(slot.path) and "invoke[0]" in str(slot.path)]
+        domestic = [slot for slot in slots if "switch" in str(slot[0]) and "invoke[0]" in str(slot[0])]
         assert len(domestic) == 3
         rest = [slot for slot in slots if slot not in domestic]
         case = sweep_case(travel_process, domestic + rest, config)
@@ -125,7 +125,7 @@ class TestSweepCase:
         case = sweep_case(travel_process, order, config)
         for count, pam in case.series:
             expected = sum(
-                (weights[slot.path] / config.reference_value for slot in order[:count]),
+                (weights[path] / config.reference_value for path, _ in order[:count]),
                 Fraction(0),
             )
             assert pam == expected
@@ -165,8 +165,9 @@ class TestRunSweep:
         assert [case.case_id for case in result.cases] == [0, 1, 2, 3]
 
     def test_num_cases_validated(self, mini_process, config):
-        with pytest.raises(ValueError):
-            run_sweep(mini_process, 0, 1, config)
+        for num_cases in (0, -1, True, 2.5, "3", None):
+            with pytest.raises(ValueError, match="num_cases must be an integer >= 1"):
+                run_sweep(mini_process, num_cases, 1, config)
 
 
 class TestExhaustiveSweep:
