@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BadAdviceType
-from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set
+from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, attribute_value
 
 if TYPE_CHECKING:
     from .parsing import Aspect
@@ -78,11 +78,7 @@ class VariabilityProfile(Record):
 
 
 def _predicates_hold(predicates: Sequence[tuple[str, str]], target: Activity | ProcessModel) -> bool:
-    for attribute, value in predicates:
-        actual = target.name if attribute == "name" else target.attributes.get(attribute)
-        if actual != value:
-            return False
-    return True
+    return all(attribute_value(target, attribute) == value for attribute, value in predicates)
 
 
 def _within(ranks: Sequence[int], contexts: Sequence[int], ends: Sequence[int]) -> list[int]:

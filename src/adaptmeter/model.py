@@ -17,6 +17,7 @@ its nodes from there instead of walking the tree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterator, Mapping
 
@@ -220,8 +221,7 @@ class ProcessIndex(Record):
         if table is None:
             table = {}
             for rank in self.by_kind.get(kind, ()):
-                activity = self.activities[rank]
-                actual = activity.name if attribute == "name" else activity.attributes.get(attribute)
+                actual = attribute_value(self.activities[rank], attribute)
                 if actual is not None:
                     table.setdefault(actual, []).append(rank)
             table = self._postings[kind, attribute] = {key: tuple(ranks) for key, ranks in table.items()}
@@ -242,7 +242,7 @@ class ProcessModel(Record):
         if not name:
             raise StructuralError("process requires a non-empty name")
         if not root.is_structured:
-            raise StructuralError("process root activity must be structured")
+            raise StructuralError(f"process root activity must be structured, got <{root.kind}>")
         _set(self, "name", name)
         _set(self, "root", root)
         _set(self, "attributes", dict(attributes or {}))
@@ -297,6 +297,11 @@ class AnalysisConfig(Record):
         _set(self, "include_disabled_aspects", include_disabled_aspects)
 
 
+def attribute_value(target: Activity | ProcessModel, attribute: str) -> str | None:
+    """The value a selector predicate on ``attribute`` tests: ``name`` is the name."""
+    return target.name if attribute == "name" else target.attributes.get(attribute)
+
+
 def iter_activities(process: ProcessModel) -> Iterator[tuple[ActivityPath, Activity]]:
     """Every (path, activity) pair in depth-first pre-order, root first."""
     index = process.index
@@ -308,17 +313,12 @@ def resolve_path(process: ProcessModel, path: ActivityPath) -> Activity:
 
     Raises ValueError when the path does not resolve in this process.
     """
-    kind, index = path.steps[0]
-    if (kind, index) != (process.root.kind, 0):
-        raise ValueError(f"path {path} does not resolve: root is <{process.root.kind}>")
-    node = process.root
-    for kind, index in path.steps[1:]:
-        if index >= len(node.children):
-            raise ValueError(f"path {path} does not resolve: no child {index} under <{node.kind}>")
-        node = node.children[index]
-        if node.kind != kind:
-            raise ValueError(f"path {path} does not resolve: child {index} is <{node.kind}>, not <{kind}>")
-    return node
+    index = process.index
+    # The index's paths are in order_key order, so the path can only be at its bisection point.
+    rank = bisect_left(index.paths, path.order_key, key=attrgetter("order_key"))
+    if rank == len(index.paths) or index.paths[rank] != path:
+        raise ValueError(f"path {path} does not resolve in process {process.name!r}")
+    return index.activities[rank]
 
 
 def is_join_point(activity: Activity, config: AnalysisConfig) -> bool:

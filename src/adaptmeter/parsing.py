@@ -233,10 +233,11 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 if len(children) != 1:
                     raise StructuralError(f"<process> must contain exactly one root activity, found {len(children)}",
                                           line=line)
-                if children[0].kind not in STRUCTURED_KINDS:
-                    raise StructuralError(f"process root activity must be structured, got <{children[0].kind}>",
-                                          line=more[0])
-                result = ProcessModel(name, children[0], attributes)
+                try:
+                    result = ProcessModel(name, children[0], attributes)
+                except StructuralError as exc:  # a basic root activity
+                    exc.line = more[0]
+                    raise
             elif role == _ASPECT:
                 if not children:
                     raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=line)

@@ -95,20 +95,22 @@ def _node_entry(node: NodeVD) -> dict:
     }
 
 
-def render_json(result: MetricsResult) -> str:
+def _json(fields: dict) -> str:
+    """A JSON document: the schema and tool versions, then ``fields``."""
     import json
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
+    return json.dumps({"schema_version": SCHEMA_VERSION, "tool_version": __version__, **fields}, indent=2)
+
+
+def render_json(result: MetricsResult) -> str:
+    return _json({
         "process": result.process_name,
         "pam": float(result.pam),
         "pam_exact": str(result.pam),
         "reference_value": result.config_used.reference_value,
         "nodes": [_node_entry(node) for node in result.nodes],
         "warnings": list(result.warnings),
-    }
-    return json.dumps(payload, indent=2)
+    })
 
 
 def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
@@ -161,8 +163,6 @@ def render_compare_text(
 def render_compare_json(
     left: MetricsResult, right: MetricsResult, left_source: str, right_source: str
 ) -> str:
-    import json
-
     def side(result: MetricsResult, source: str) -> dict:
         return {
             "process": result.process_name,
@@ -173,16 +173,13 @@ def render_compare_json(
         }
 
     delta = right.pam - left.pam
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
+    return _json({
         "left": side(left, left_source),
         "right": side(right, right_source),
         "delta": float(delta),
         "delta_exact": str(delta),
         "join_points": _compare_rows(left, right),
-    }
-    return json.dumps(payload, indent=2)
+    })
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -86,12 +86,10 @@ def sweep_case(
 
 
 def _permuted(slots: Sequence[tuple[ActivityPath, str]], rng: random.Random) -> tuple[tuple[ActivityPath, str], ...]:
-    # Fisher-Yates over randrange keeps the draw sequence under our
-    # control, so equal seeds give equal orders on any interpreter.
+    # Random.shuffle is a Fisher-Yates shuffle; the orders it draws are part
+    # of the output contract, pinned by tests/test_sweep.py.
     order = list(slots)
-    for i in range(len(order) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        order[i], order[j] = order[j], order[i]
+    rng.shuffle(order)
     return tuple(order)
 
 

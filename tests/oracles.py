@@ -4,12 +4,15 @@ Each function recomputes, by walking the activity tree directly, a
 result that the library derives from the shared pre-order process
 index, or, for the exhaustive sweep envelope, from order statistics.
 They are slow on purpose and easy to check by hand.
+`match_selector_elementpath` instead hands selectors to CPython's
+ElementPath, an implementation written by other hands.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import xml.etree.ElementTree as ElementTree
 from fractions import Fraction
 from xml.parsers import expat
 
@@ -28,7 +31,7 @@ from adaptmeter import (
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.metrics import variability_degree, variability_value
 from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, is_join_point
-from adaptmeter.parsing import Aspect, Pointcut
+from adaptmeter.parsing import Aspect, Pointcut, serialize_process
 from adaptmeter.selectors import PointcutSelector, parse_selector
 
 BRANCHING = ("switch", "pick")
@@ -143,6 +146,40 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
                     matched.setdefault(path)
         contexts = list(matched)
     return sorted((path for path in contexts if path is not None), key=lambda p: p.order_key)
+
+
+def _elementpath_step(element: str, predicates: tuple[tuple[str, str], ...]) -> str:
+    """One selector step as an ElementPath ``.//element[@a='x'][@b="y"]``.
+
+    ElementPath has no ``and``, so each predicate gets its own bracket. It
+    has no escapes either, so no value may hold both quote characters.
+    """
+    brackets = []
+    for attribute, value in predicates:
+        quote = "'" if '"' in value else '"'
+        brackets.append(f"[@{attribute}={quote}{value}{quote}]")
+    return f".//{element}{''.join(brackets)}"
+
+
+def match_selector_elementpath(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
+    """The selector run by CPython's ElementPath on the process's canonical XML.
+
+    Each step is a ``.//step`` search from every element the previous step
+    found. The first step searches from a document element wrapped around
+    <process>, so it may match <process> itself. The found activity
+    elements map to paths by their document order among activity elements,
+    which skips <process> and the branch wrappers.
+    """
+    document = ElementTree.Element("document")
+    document.append(ElementTree.fromstring(serialize_process(process)))
+    contexts = [document]
+    for element, predicates in selector.steps:
+        step = _elementpath_step(element, predicates)
+        found = {id(match) for context in contexts for match in context.iterfind(step)}
+        contexts = [node for node in document.iter() if id(node) in found]
+    ranks = {id(node): rank for rank, node in enumerate(node for node in document.iter() if node.tag in ACTIVITY_KINDS)}
+    paths = [path for path, _ in walk(process)]
+    return [paths[ranks[id(node)]] for node in contexts if id(node) in ranks]
 
 
 def bind_aspects(

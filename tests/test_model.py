@@ -8,7 +8,7 @@ import pytest
 
 from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
 from adaptmeter.matching import match_selector
-from adaptmeter.model import ProcessIndex, is_join_point, iter_activities, resolve_path
+from adaptmeter.model import ActivityPath, ProcessIndex, is_join_point, iter_activities, resolve_path
 from adaptmeter.selectors import parse_selector
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
@@ -75,6 +75,11 @@ class TestActivityPath:
         # right index, wrong kind
         with pytest.raises(ValueError):
             resolve_path(travel_process, activity_path("/process/sequence[0]/invoke[0]"))
+        # a negative sibling index is not an address, though Python would read it
+        with pytest.raises(ValueError):
+            resolve_path(travel_process, ActivityPath((("sequence", 0), ("reply", -1))))
+        with pytest.raises(ValueError):
+            resolve_path(travel_process, ActivityPath(()))
 
 
 class TestProcessIndex:
@@ -198,7 +203,7 @@ class TestProcessModelInvariants:
             ProcessModel(name="", root=Activity("sequence"))
 
     def test_basic_root_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^process root activity must be structured, got <invoke>$"):
             ProcessModel(name="p", root=Activity("invoke"))
 
     def test_models_keep_a_copy_of_the_attributes_they_are_given(self):

@@ -56,8 +56,11 @@ class TestParseProcess:
         assert excinfo.value.line == 2
 
     def test_basic_root_rejected(self):
-        with pytest.raises(StructuralError):
-            parse_process('<process name="p"><invoke/></process>')
+        doc = '<process name="p">\n<partnerLinks/>\n<invoke name="i">\n<opaque/>\n</invoke>\n</process>'
+        with pytest.raises(StructuralError) as excinfo:
+            parse_process(doc)
+        assert str(excinfo.value) == "process root activity must be structured, got <invoke>"
+        assert excinfo.value.line == 3  # the root activity's start tag
 
     def test_two_root_activities_rejected(self):
         with pytest.raises(StructuralError):
