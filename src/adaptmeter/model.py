@@ -11,8 +11,8 @@ wrappers, declaration sections) is checked by the parser, not kept.
 
 Every record of the package is an immutable slotted value object (see
 `Record`), so the model is safe to share across threads. Each process
-builds one pre-order `ProcessIndex` on first use, and every layer reads
-its nodes from there instead of walking the tree.
+builds one pre-order `ProcessIndex` as it is constructed, and every
+layer reads its nodes from there instead of walking the tree.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class Record:
     attribute raises AttributeError. Equality (same class, equal field
     values), the hash, the repr (``Name(field=value, ...)``) and pickling
     and copying (which rebuild through ``__init__``) derive from the fields.
+    A record that holds a dict, as `Activity` and `ProcessModel` do in
+    ``attributes``, has no hash: ``hash`` raises TypeError.
     """
 
     __slots__ = ()
@@ -82,13 +84,22 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _unnamed(attributes: Mapping[str, str] | None) -> dict[str, str]:
+    """A record's own copy of ``attributes``, which must not hold the name."""
+    copy = dict(attributes or {})
+    if "name" in copy:
+        raise StructuralError("a name goes in the name field, not in attributes")
+    return copy
+
+
 class Activity(Record):
     """One node of the activity tree.
 
     ``attributes`` holds everything except ``name`` (e.g. ``operation``
-    and ``partnerLink`` on messaging activities). A switch's or pick's
-    children are its branches; the <case>/<otherwise> or
-    <onMessage>/<onAlarm> elements that wrap them in XML are not kept.
+    and ``partnerLink`` on messaging activities); a ``"name"`` key there
+    raises StructuralError. A switch's or pick's children are its
+    branches; the <case>/<otherwise> or <onMessage>/<onAlarm> elements
+    that wrap them in XML are not kept.
     """
 
     __slots__ = ("kind", "name", "attributes", "children")
@@ -108,7 +119,7 @@ class Activity(Record):
             raise StructuralError(f"<{kind}> requires at least one branch")
         _set(self, "kind", kind)
         _set(self, "name", name)
-        _set(self, "attributes", dict(attributes or {}))
+        _set(self, "attributes", _unnamed(attributes))
         _set(self, "children", children)
 
     @property
@@ -233,7 +244,8 @@ class ProcessModel(Record):
 
     ``attributes`` keeps the process element's own attributes other than
     ``name`` so selector predicates can match against them. The
-    <partnerLinks> and <variables> sections are not kept.
+    <partnerLinks> and <variables> sections are not kept. The tree's
+    `ProcessIndex` is built with the model, once its checks pass.
     """
 
     __slots__ = ("name", "root", "attributes", "_index")
@@ -245,13 +257,12 @@ class ProcessModel(Record):
             raise StructuralError(f"process root activity must be structured, got <{root.kind}>")
         _set(self, "name", name)
         _set(self, "root", root)
-        _set(self, "attributes", dict(attributes or {}))
+        _set(self, "attributes", _unnamed(attributes))
+        _set(self, "_index", ProcessIndex.build(root))
 
     @property
     def index(self) -> ProcessIndex:
-        """The tree's pre-order index, built on first use."""
-        if not hasattr(self, "_index"):
-            _set(self, "_index", ProcessIndex.build(self.root))
+        """The tree's pre-order index."""
         return self._index
 
 

@@ -11,7 +11,7 @@ pick branch wrappers, with their conditions, and the <partnerLinks> and
 
 from __future__ import annotations
 
-from typing import IO, TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 from xml.parsers import expat
 
 from .errors import AdaptMeterError, BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError
@@ -270,19 +270,20 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
     return result
 
 
-def parse_process(source: str | IO[str]) -> ProcessModel:
-    """Parse a process document into a ProcessModel.
+def parse_process(text: str) -> ProcessModel:
+    """Parse the text of a process document into a ProcessModel, indexed.
 
     The document root must be <process> with a non-empty name, holding
     optional <partnerLinks> and <variables> sections, which are checked
-    but not kept, and exactly one structured root activity.
+    but not kept, and exactly one structured root activity. For a file,
+    pass ``path.read_text(encoding="utf-8")``.
     """
-    return _build(source if isinstance(source, str) else source.read(), "process")
+    return _build(text, "process")
 
 
-def parse_aspect(source: str | IO[str]) -> Aspect:
-    """Parse an aspect document: pointcuts plus exactly one typed advice."""
-    return _build(source if isinstance(source, str) else source.read(), "aspect")
+def parse_aspect(text: str) -> Aspect:
+    """Parse the text of an aspect document: pointcuts plus exactly one typed advice."""
+    return _build(text, "aspect")
 
 
 def _load(path: Path, parse: Callable[[str], object]):

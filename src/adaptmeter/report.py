@@ -185,14 +185,15 @@ def render_compare_json(
 def sweep_csv(result: SweepResult) -> str:
     """Plot-ready series: one row per (case, count), sorted."""
     lines = ["case_id,count,pam"]
-    for case in result.cases:
-        for count, pam in case.series:
-            lines.append(f"{case.case_id},{count},{float(pam):.6f}")
+    for case_id, case in enumerate(result.cases):
+        for count, pam in enumerate(case.series):
+            lines.append(f"{case_id},{count},{float(pam):.6f}")
     return "\n".join(lines) + "\n"
 
 
-def exhaustive_csv(rows: list[tuple[int, Fraction, Fraction, Fraction]]) -> str:
+def exhaustive_csv(rows: list[tuple[Fraction, Fraction, Fraction]]) -> str:
+    """One row per count: the min, mean and max PAM over that many slots."""
     lines = ["count,min_pam,mean_pam,max_pam"]
-    for count, low, mean, high in rows:
+    for count, (low, mean, high) in enumerate(rows):
         lines.append(f"{count},{float(low):.6f},{float(mean):.6f},{float(high):.6f}")
     return "\n".join(lines) + "\n"

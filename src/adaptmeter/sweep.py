@@ -5,9 +5,9 @@ the pair `VariabilityProfile.from_assignments` takes. A process with j
 join points has 3j slots. A sweep case fills the slots in some order,
 a tuple of those pairs, and records the process adaptability after each
 addition, producing a monotone series from the empty profile to
-saturation.
+saturation: entry k is the PAM after the first k slots.
 `run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
-reports the min/mean/max envelope over every subset of slots per count.
+reports the min/mean/max envelope over every subset of k slots as row k.
 It reads the envelope off one sorted list of per-slot marginal gains
 (two prefix sums) and a hypergeometric mean instead of enumerating the
 subsets, so its cost is one sort plus linear work in the slot count.
@@ -26,14 +26,11 @@ from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, Rec
 
 
 class SweepCase(Record):
-    """One placement order and its PAM-per-count series (counts 0..slots)."""
+    """One placement order and its series: ``series[k]`` is the PAM after the first k slots."""
 
-    __slots__ = ("case_id", "order", "series")
+    __slots__ = ("order", "series")
 
-    def __init__(
-        self, case_id: int, order: tuple[tuple[ActivityPath, str], ...], series: tuple[tuple[int, Fraction], ...]
-    ) -> None:
-        _set(self, "case_id", case_id)
+    def __init__(self, order: tuple[tuple[ActivityPath, str], ...], series: tuple[Fraction, ...]) -> None:
         _set(self, "order", order)
         _set(self, "series", series)
 
@@ -53,12 +50,7 @@ def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple
     return [(path, advice_type) for path, _ in find_join_points(process, config) for advice_type in ADVICE_TYPES]
 
 
-def sweep_case(
-    process: ProcessModel,
-    order: Sequence[tuple[ActivityPath, str]],
-    config: AnalysisConfig,
-    case_id: int = 0,
-) -> SweepCase:
+def sweep_case(process: ProcessModel, order: Sequence[tuple[ActivityPath, str]], config: AnalysisConfig) -> SweepCase:
     """Fill slots in the given order, recording PAM after each addition.
 
     PAM is linear in the join-point VDs, so each slot that raises a join
@@ -71,8 +63,8 @@ def sweep_case(
     placed: set[tuple[ActivityPath, str]] = set()
     vvs: dict[ActivityPath, int] = {}
     pam = Fraction(0)
-    series = [(0, pam)]
-    for count, slot in enumerate(order, 1):
+    series = [pam]
+    for slot in order:
         path = slot[0]
         vv = vvs.get(path, 0)
         raised = vv < reference if clamp else slot not in placed
@@ -81,8 +73,8 @@ def sweep_case(
             variability_degree(vv + 1, reference)  # raises ReferenceTooSmall past R
             vvs[path] = vv + 1
             pam += steps[path]
-        series.append((count, pam))
-    return SweepCase(case_id, tuple(order), tuple(series))
+        series.append(pam)
+    return SweepCase(tuple(order), tuple(series))
 
 
 def _permuted(slots: Sequence[tuple[ActivityPath, str]], rng: random.Random) -> tuple[tuple[ActivityPath, str], ...]:
@@ -107,21 +99,19 @@ def run_sweep(
     rng = random.Random(seed)
     seen: set[tuple[tuple[ActivityPath, str], ...]] = set()
     cases = []
-    for case_id in range(num_cases):
+    for _ in range(num_cases):
         order = _permuted(slots, rng)
         attempts = 0
         while order in seen and attempts < 1000 and len(seen) < math.factorial(len(slots)):
             order = _permuted(slots, rng)
             attempts += 1
         seen.add(order)
-        cases.append(sweep_case(process, order, config, case_id=case_id))
+        cases.append(sweep_case(process, order, config))
     return SweepResult(process.name, len(slots), tuple(cases), seed)
 
 
-def exhaustive_sweep(
-    process: ProcessModel, config: AnalysisConfig
-) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    """Envelope over every slot subset: (count, min, mean, max) per count.
+def exhaustive_sweep(process: ProcessModel, config: AnalysisConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Envelope over every slot subset: row k is (min, mean, max) over the k-subsets.
 
     A subset's PAM is the sum over join points of weight * VD(c), where c
     is how many of the join point's slots the subset holds. VD is concave
@@ -134,7 +124,7 @@ def exhaustive_sweep(
     """
     weights = sorted(join_point_weights(process, config).values())
     if not weights:
-        return [(0, Fraction(0), Fraction(0), Fraction(0))]
+        return [(Fraction(0), Fraction(0), Fraction(0))]
     per_join_point = len(ADVICE_TYPES)
     reference = config.reference_value
     clamp = config.count_mode == "raw-clamped"
@@ -148,4 +138,4 @@ def exhaustive_sweep(
     ]
     lows = accumulate(gains, initial=Fraction(0))
     highs = accumulate(sorted(gains, reverse=True), initial=Fraction(0))
-    return list(zip(range(slots + 1), lows, means, highs))
+    return list(zip(lows, means, highs))

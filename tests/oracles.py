@@ -295,17 +295,14 @@ def parse_selector_scanning(text: str) -> PointcutSelector:
     return PointcutSelector(tuple(steps))
 
 
-def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[tuple[int, Fraction]]:
-    """PAM after each slot, re-aggregating the whole tree at every count."""
-    series = []
-    for count in range(len(order) + 1):
-        profile = VariabilityProfile.from_assignments(order[:count])
-        series.append((count, aggregate_process(process, profile, config)[0].vd))
-    return series
+def sweep_series(process: ProcessModel, order, config: AnalysisConfig) -> list[Fraction]:
+    """PAM after each count of slots, re-aggregating the whole tree at every count."""
+    return [aggregate_process(process, VariabilityProfile.from_assignments(order[:count]), config)[0].vd
+            for count in range(len(order) + 1)]
 
 
-def exhaustive_fold(process: ProcessModel, config: AnalysisConfig) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    """(count, min, mean, max) over every slot subset, folding in one join point at a time.
+def exhaustive_fold(process: ProcessModel, config: AnalysisConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(min, mean, max) over every slot subset of each count, folding in one join point at a time.
 
     A subset's PAM is the sum over join points of weight * VD(c), where c
     is how many of the join point's slots the subset holds. For each count
@@ -330,7 +327,7 @@ def exhaustive_fold(process: ProcessModel, config: AnalysisConfig) -> list[tuple
             (min(lows), max(highs), sum(totals, Fraction(0)), sum(numbers))
             for lows, highs, totals, numbers in (zip(*group) for group in merged)
         ]
-    return [(count, low, total / number, high) for count, (low, high, total, number) in enumerate(envelope)]
+    return [(low, total / number, high) for low, high, total, number in envelope]
 
 
 # The two-pass document reader the streaming parser replaced: expat builds

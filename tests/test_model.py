@@ -206,6 +206,14 @@ class TestProcessModelInvariants:
         with pytest.raises(StructuralError, match=r"^process root activity must be structured, got <invoke>$"):
             ProcessModel(name="p", root=Activity("invoke"))
 
+    def test_a_name_key_in_attributes_is_refused(self):
+        # Selectors read @name from the name field, and serialize_process writes
+        # the key as the element's name, so a model holding it would not round-trip.
+        for build in (lambda: Activity("sequence", None, {"name": "x"}, (Activity("invoke"),)),
+                      lambda: ProcessModel("p", Activity("sequence"), {"name": "q"})):
+            with pytest.raises(StructuralError, match=r"^a name goes in the name field, not in attributes$"):
+                build()
+
     def test_models_keep_a_copy_of_the_attributes_they_are_given(self):
         def build(operation: str, version: str) -> ProcessModel:
             invoke = Activity("invoke", "i", {"operation": operation})

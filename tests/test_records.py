@@ -68,8 +68,8 @@ def test_equal_records_have_equal_hashes():
         (parse_selector('//invoke[@operation="x"]'), parse_selector("//invoke[@operation='x']")),
         (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", ActivityPath(path.steps), "before")),
         (NodeVD(path, Fraction(1, 3), 1), NodeVD(ActivityPath(path.steps), Fraction(2, 6), 1)),
-        (SweepCase(0, ((path, "after"),), ((0, Fraction(0)),)),
-         SweepCase(0, ((ActivityPath(path.steps), "after"),), ((0, Fraction(0)),))),
+        (SweepCase(((path, "after"),), (Fraction(0),)),
+         SweepCase(((ActivityPath(path.steps), "after"),), (Fraction(0),))),
     ]
     for left, right in pairs:
         assert left is not right
@@ -129,7 +129,6 @@ def test_filled_postings_leave_the_process_value_unchanged(travel_aspects):
     for clone in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
         twin = clone(bound)
         assert twin == fresh and repr(twin) == repr(fresh)
-        assert not hasattr(twin, "_index"), "a clone rebuilds its index on first use"
         assert twin.index is not index and twin.index._postings == {}
         assert clone(index)._postings == {}
 

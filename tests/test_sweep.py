@@ -20,6 +20,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
+from adaptmeter.report import sweep_csv
 from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
 import oracles
@@ -30,7 +31,7 @@ SINGLE_JOIN_POINT = ProcessModel(name="single", root=Activity("sequence", childr
 
 
 def _subset_envelope(process, config):
-    """(count, min, mean, max) over every slot subset, each scored by process_adaptability."""
+    """(min, mean, max) over every slot subset of each count, each scored by process_adaptability."""
     slots = enumerate_slots(process, config)
     rows = []
     for count in range(len(slots) + 1):
@@ -38,7 +39,7 @@ def _subset_envelope(process, config):
         for subset in combinations(slots, count):
             profile = VariabilityProfile.from_assignments(subset)
             pams.append(process_adaptability(process, profile, config).pam)
-        rows.append((count, min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
+        rows.append((min(pams), sum(pams, Fraction(0)) / len(pams), max(pams)))
     return rows
 
 
@@ -91,8 +92,8 @@ class TestSweepCase:
     def test_endpoints(self, travel_process, config):
         slots = enumerate_slots(travel_process, config)
         case = sweep_case(travel_process, slots, config)
-        assert case.series[0] == (0, Fraction(0))
-        assert case.series[-1] == (15, Fraction(1))
+        assert case.series[0] == Fraction(0)
+        assert case.series[-1] == Fraction(1)
         assert len(case.series) == 16
 
     def test_saturating_one_join_point_first_exposes_its_weight(self, travel_process, config):
@@ -101,19 +102,18 @@ class TestSweepCase:
         assert len(domestic) == 3
         rest = [slot for slot in slots if slot not in domestic]
         case = sweep_case(travel_process, domestic + rest, config)
-        assert case.series[3][1] == Fraction(1, 8)
+        assert case.series[3] == Fraction(1, 8)
 
     def test_single_join_point_steps_by_thirds(self, config):
         slots = enumerate_slots(SINGLE_JOIN_POINT, config)
         case = sweep_case(SINGLE_JOIN_POINT, slots, config)
-        assert [pam for _, pam in case.series] == [0, Fraction(1, 3), Fraction(2, 3), 1]
+        assert list(case.series) == [0, Fraction(1, 3), Fraction(2, 3), 1]
 
     def test_series_monotone(self, mini_process, config):
         rng = random.Random(8)
         slots = enumerate_slots(mini_process, config)
         rng.shuffle(slots)
-        case = sweep_case(mini_process, slots, config)
-        pams = [pam for _, pam in case.series]
+        pams = sweep_case(mini_process, slots, config).series
         assert all(a <= b for a, b in zip(pams, pams[1:]))
 
     def test_subset_sum_consistency(self, travel_process, config):
@@ -124,7 +124,7 @@ class TestSweepCase:
         order = enumerate_slots(travel_process, config)
         rng.shuffle(order)
         case = sweep_case(travel_process, order, config)
-        for count, pam in case.series:
+        for count, pam in enumerate(case.series):
             expected = sum(
                 (weights[path] / config.reference_value for path, _ in order[:count]),
                 Fraction(0),
@@ -180,14 +180,15 @@ class TestRunSweep:
     def test_all_cases_monotone_and_saturating(self, travel_process, config):
         result = run_sweep(travel_process, 3, 42, config)
         for case in result.cases:
-            pams = [pam for _, pam in case.series]
+            pams = case.series
             assert pams[0] == 0
             assert pams[-1] == 1
             assert all(a <= b for a, b in zip(pams, pams[1:]))
 
     def test_case_ids_are_sequential(self, mini_process, config):
         result = run_sweep(mini_process, 4, 9, config)
-        assert [case.case_id for case in result.cases] == [0, 1, 2, 3]
+        rows = sweep_csv(result).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(case_id) for case_id in range(4) for _ in range(10)]
 
     def test_num_cases_validated(self, mini_process, config):
         for num_cases in (0, -1, True, 2.5, "3", None):
@@ -198,11 +199,11 @@ class TestRunSweep:
 class TestExhaustiveSweep:
     def test_mini_envelope_shape(self, mini_process, config):
         rows = exhaustive_sweep(mini_process, config)
-        assert [row[0] for row in rows] == list(range(10))
-        for _, low, mean, high in rows:
+        assert len(rows) == 10
+        for low, mean, high in rows:
             assert low <= mean <= high
-        assert rows[0][1:] == (Fraction(0), Fraction(0), Fraction(0))
-        assert rows[-1][1:] == (Fraction(1), Fraction(1), Fraction(1))
+        assert rows[0] == (Fraction(0), Fraction(0), Fraction(0))
+        assert rows[-1] == (Fraction(1), Fraction(1), Fraction(1))
 
     def test_envelope_matches_recursive_enumeration(self, mini_process):
         # independent oracle: evaluate every subset through the full tree
@@ -244,7 +245,7 @@ class TestExhaustiveSweep:
         assert slots == 3 * join_points
         total = sum(values, Fraction(0))
         expected = [
-            (k, sum(values[:k], Fraction(0)), Fraction(k, slots) * total, sum(values[slots - k:], Fraction(0)))
+            (sum(values[:k], Fraction(0)), Fraction(k, slots) * total, sum(values[slots - k:], Fraction(0)))
             for k in range(slots + 1)
         ]
         assert exhaustive_sweep(process, config) == expected
@@ -268,7 +269,7 @@ class TestExhaustiveSweep:
 
     def test_no_join_points_single_row(self, config):
         rows = exhaustive_sweep(NO_JOIN_POINTS, config)
-        assert rows == [(0, Fraction(0), Fraction(0), Fraction(0))]
+        assert rows == [(Fraction(0), Fraction(0), Fraction(0))]
 
     def test_mid_sweep_spread_bounded_by_weight_gap(self, mini_process, config):
         # at any count k, the best and worst placements differ by at most
@@ -277,12 +278,10 @@ class TestExhaustiveSweep:
         contributions = [weight / config.reference_value for weight in weights.values()]
         gap = max(contributions) - min(contributions)
         rows = exhaustive_sweep(mini_process, config)
-        for count, low, _, high in rows:
+        for count, (low, _, high) in enumerate(rows):
             assert high - low <= gap * count
         # random cases stay inside the exhaustive envelope
         result = run_sweep(mini_process, 5, 11, config)
-        envelope = {count: (low, high) for count, low, _, high in rows}
         for case in result.cases:
-            for count, pam in case.series:
-                low, high = envelope[count]
+            for pam, (low, _, high) in zip(case.series, rows, strict=True):
                 assert low <= pam <= high
