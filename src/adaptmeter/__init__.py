@@ -30,7 +30,7 @@ _EXPORTS = {
     "model": ("AnalysisConfig", "ProcessModel", "Activity"),
     "matching": ("bind_aspects",),
     "metrics": ("process_adaptability", "MetricsResult", "NodeVD"),
-    "sweep": ("run_sweep", "exhaustive_sweep", "SweepResult"),
+    "sweep": ("run_sweep", "exhaustive_sweep"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

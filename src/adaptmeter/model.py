@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import ConfigError, StructuralError
@@ -51,8 +52,9 @@ class Record:
     attribute raises AttributeError. Equality (same class, equal field
     values), the hash, the repr (``Name(field=value, ...)``) and pickling
     and copying (which rebuild through ``__init__``) derive from the fields.
-    A record that holds a dict, as `Activity` and `ProcessModel` do in
-    ``attributes``, has no hash: ``hash`` raises TypeError.
+    `Activity` and `ProcessModel` hold ``attributes`` as a read-only
+    mapping over their own copy, so assigning an item raises TypeError;
+    it has no hash, so ``hash`` raises TypeError on those records too.
     """
 
     __slots__ = ()
@@ -75,7 +77,9 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        # A read-only mapping does not pickle or copy; its plain dict does.
+        values = map(self.__getattribute__, self._fields)
+        return self.__class__, tuple(dict(value) if isinstance(value, MappingProxyType) else value for value in values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,12 +88,12 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _unnamed(attributes: Mapping[str, str] | None) -> dict[str, str]:
-    """A record's own copy of ``attributes``, which must not hold the name."""
+def _unnamed(attributes: Mapping[str, str] | None) -> Mapping[str, str]:
+    """A read-only view of a record's own copy of ``attributes``, which must not hold the name."""
     copy = dict(attributes or {})
     if "name" in copy:
         raise StructuralError("a name goes in the name field, not in attributes")
-    return copy
+    return MappingProxyType(copy)
 
 
 class Activity(Record):

@@ -17,7 +17,7 @@ from . import __version__
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
     from .model import ProcessModel
-    from .sweep import SweepResult
+    from .sweep import SweepCase
 
 SCHEMA_VERSION = "1"
 
@@ -182,10 +182,10 @@ def render_compare_json(
     })
 
 
-def sweep_csv(result: SweepResult) -> str:
-    """Plot-ready series: one row per (case, count), sorted."""
+def sweep_csv(cases: tuple[SweepCase, ...]) -> str:
+    """Plot-ready series: one row per (case, count), sorted; a case's id is its position."""
     lines = ["case_id,count,pam"]
-    for case_id, case in enumerate(result.cases):
+    for case_id, case in enumerate(cases):
         for count, pam in enumerate(case.series):
             lines.append(f"{case_id},{count},{float(pam):.6f}")
     return "\n".join(lines) + "\n"

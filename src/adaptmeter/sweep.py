@@ -6,8 +6,9 @@ join points has 3j slots. A sweep case fills the slots in some order,
 a tuple of those pairs, and records the process adaptability after each
 addition, producing a monotone series from the empty profile to
 saturation: entry k is the PAM after the first k slots.
-`run_sweep` draws seeded pseudo-random orders; `exhaustive_sweep`
-reports the min/mean/max envelope over every subset of k slots as row k.
+`run_sweep` draws seeded pseudo-random orders and returns one
+`SweepCase` per order, in the order drawn; `exhaustive_sweep` reports
+the min/mean/max envelope over every subset of k slots as row k.
 It reads the envelope off one sorted list of per-slot marginal gains
 (two prefix sums) and a hypergeometric mean instead of enumerating the
 subsets, so its cost is one sort plus linear work in the slot count.
@@ -33,16 +34,6 @@ class SweepCase(Record):
     def __init__(self, order: tuple[tuple[ActivityPath, str], ...], series: tuple[Fraction, ...]) -> None:
         _set(self, "order", order)
         _set(self, "series", series)
-
-
-class SweepResult(Record):
-    __slots__ = ("process_name", "slot_count", "cases", "seed")
-
-    def __init__(self, process_name: str, slot_count: int, cases: tuple[SweepCase, ...], seed: int) -> None:
-        _set(self, "process_name", process_name)
-        _set(self, "slot_count", slot_count)
-        _set(self, "cases", cases)
-        _set(self, "seed", seed)
 
 
 def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
@@ -77,37 +68,36 @@ def sweep_case(process: ProcessModel, order: Sequence[tuple[ActivityPath, str]],
     return SweepCase(tuple(order), tuple(series))
 
 
-def _permuted(slots: Sequence[tuple[ActivityPath, str]], rng: random.Random) -> tuple[tuple[ActivityPath, str], ...]:
-    # Random.shuffle is a Fisher-Yates shuffle; the orders it draws are part
-    # of the output contract, pinned by tests/test_sweep.py.
-    order = list(slots)
-    rng.shuffle(order)
-    return tuple(order)
-
-
 def run_sweep(
     process: ProcessModel, num_cases: int, seed: int, config: AnalysisConfig
-) -> SweepResult:
-    """Run ``num_cases`` seeded random placement orders.
+) -> tuple[SweepCase, ...]:
+    """Run ``num_cases`` seeded random placement orders and return their cases.
 
-    Orders are drawn distinct while the permutation space allows it;
-    identical inputs and seed give an identical result.
+    ``seed`` must be an int (anything else raises ValueError), so
+    identical inputs and seed give identical cases. Orders are drawn
+    distinct while the permutation space allows it.
     """
     if type(num_cases) is not int or num_cases < 1:
         raise ValueError("num_cases must be an integer >= 1")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     slots = enumerate_slots(process, config)
     rng = random.Random(seed)
     seen: set[tuple[tuple[ActivityPath, str], ...]] = set()
     cases = []
     for _ in range(num_cases):
-        order = _permuted(slots, rng)
-        attempts = 0
-        while order in seen and attempts < 1000 and len(seen) < math.factorial(len(slots)):
-            order = _permuted(slots, rng)
-            attempts += 1
+        # Random.shuffle is a Fisher-Yates shuffle; the orders it draws are part
+        # of the output contract, pinned by tests/test_sweep.py. A repeated order
+        # is redrawn up to 1000 times while unseen orders remain.
+        for _ in range(1001):
+            shuffled = list(slots)
+            rng.shuffle(shuffled)
+            order = tuple(shuffled)
+            if order not in seen or len(seen) >= math.factorial(len(slots)):
+                break
         seen.add(order)
         cases.append(sweep_case(process, order, config))
-    return SweepResult(process.name, len(slots), tuple(cases), seed)
+    return tuple(cases)
 
 
 def exhaustive_sweep(process: ProcessModel, config: AnalysisConfig) -> list[tuple[Fraction, Fraction, Fraction]]:

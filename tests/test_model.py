@@ -230,6 +230,23 @@ class TestProcessModelInvariants:
         assert match_selector(parse_selector('//invoke[@operation="cancel"]'), process) == []
         assert match_selector(parse_selector('//process[@version="2"]//invoke'), process) == []
 
+    def test_attributes_are_read_only(self):
+        # The selector lookup tables are built from the attributes, so a
+        # mapping that could change after a match would leave them stale.
+        invoke = Activity("invoke", "i", {"operation": "book"})
+        process = ProcessModel("p", Activity("sequence", children=(invoke,)), {"version": "1"})
+        book = parse_selector('//process[@version="1"]//invoke[@operation="book"]')
+        booked = match_selector(book, process)
+        for attributes, key in ((invoke.attributes, "operation"), (process.attributes, "version")):
+            with pytest.raises(TypeError):
+                attributes[key] = "cancel"
+            assert attributes[key] != "cancel"
+        assert len(booked) == 1 and match_selector(book, process) == booked
+        assert match_selector(parse_selector('//invoke[@operation="cancel"]'), process) == []
+        assert repr(invoke) == (
+            "Activity(kind='invoke', name='i', attributes=mappingproxy({'operation': 'book'}), children=())"
+        )
+
 
 class TestAnalysisConfig:
     def test_defaults(self, config):

@@ -41,12 +41,12 @@ def records(travel_process, travel_aspects):
     return [
         switch, result.nodes[0].path, travel_process.index, travel_process, config,
         selector, aspect.pointcuts[0], aspect, profile.bindings[0], profile,
-        result.nodes[0], result, sweep.cases[0], sweep,
+        result.nodes[0], result, sweep[0],
     ]
 
 
 def test_every_record_type_is_covered(records):
-    assert len({type(record) for record in records}) == 14
+    assert len({type(record) for record in records}) == 13
 
 
 def test_fields_cannot_be_assigned_or_deleted(records):
@@ -82,7 +82,7 @@ def test_equal_records_have_equal_hashes():
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_records_round_trip_through_pickle_and_copy(records, clone):
-    process, config, result, sweep = records[3], records[4], records[11], records[13]
+    process, config, result, sweep = records[3], records[4], records[11], records[12]
     for record in (process, config, result, sweep):
         twin = clone(record)
         assert type(twin) is type(record)

@@ -141,11 +141,11 @@ class TestRunSweep:
     def test_seed_changes_orders(self, travel_process, config):
         one = run_sweep(travel_process, 1, 1, config)
         two = run_sweep(travel_process, 1, 2, config)
-        assert one.cases[0].order != two.cases[0].order
+        assert one[0].order != two[0].order
 
     def test_cases_use_distinct_orders(self, travel_process, config):
         result = run_sweep(travel_process, 3, 42, config)
-        orders = {case.order for case in result.cases}
+        orders = {case.order for case in result}
         assert len(orders) == 3
 
     def test_tiny_permutation_space_allows_repeats(self, config):
@@ -153,8 +153,8 @@ class TestRunSweep:
         # earlier ones after the draws for an unseen order run out. The
         # orders are pinned with the rest of the draw sequence (see below).
         result = run_sweep(SINGLE_JOIN_POINT, 8, 0, config)
-        assert result.slot_count == 3
-        assert [tuple(advice_type for _, advice_type in case.order) for case in result.cases] == [
+        assert len(result[0].order) == 3
+        assert [tuple(advice_type for _, advice_type in case.order) for case in result] == [
             ("before", "after", "around"),
             ("after", "around", "before"),
             ("before", "around", "after"),
@@ -171,7 +171,7 @@ class TestRunSweep:
     def test_draw_sequence_is_pinned(self, travel_process, config):
         result = run_sweep(travel_process, 3, 42, config)
         text = "\n".join(" ".join(f"{path}:{advice_type}" for path, advice_type in case.order)
-                         for case in result.cases)
+                         for case in result)
         assert text.startswith("/process/sequence[0]/switch[2]/invoke[1]:after /process/sequence[0]/reply[5]:around ")
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1ec8bff117609efe54af7b1ae96d3dfca02dbe95639d93e8f05815e670c3ef8d"
@@ -179,7 +179,7 @@ class TestRunSweep:
 
     def test_all_cases_monotone_and_saturating(self, travel_process, config):
         result = run_sweep(travel_process, 3, 42, config)
-        for case in result.cases:
+        for case in result:
             pams = case.series
             assert pams[0] == 0
             assert pams[-1] == 1
@@ -194,6 +194,13 @@ class TestRunSweep:
         for num_cases in (0, -1, True, 2.5, "3", None):
             with pytest.raises(ValueError, match="num_cases must be an integer >= 1"):
                 run_sweep(mini_process, num_cases, 1, config)
+
+    def test_seed_must_be_an_integer(self, mini_process, config):
+        # random.Random(None) seeds from the operating system, and bools,
+        # floats and strings are seeds that no command line gives.
+        for seed in (None, True, 1.5, "42"):
+            with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+                run_sweep(mini_process, 2, seed, config)
 
 
 class TestExhaustiveSweep:
@@ -282,6 +289,6 @@ class TestExhaustiveSweep:
             assert high - low <= gap * count
         # random cases stay inside the exhaustive envelope
         result = run_sweep(mini_process, 5, 11, config)
-        for case in result.cases:
+        for case in result:
             for pam, (low, _, high) in zip(case.series, rows, strict=True):
                 assert low <= pam <= high
