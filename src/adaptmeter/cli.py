@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import AdaptMeterError, ConfigError
-from .model import AnalysisConfig
+from .model import _ONE_LINE, AnalysisConfig
 from .parsing import _load, load_aspects, parse_process
 
 # Each subcommand imports the layers it runs inside its own function, so
@@ -65,8 +65,9 @@ def _write(stream, text: str) -> None:
         os.close(devnull)
 
 
-def _emit_warnings(messages) -> None:
-    _write(sys.stderr, "".join(f"warning: {message}\n" for message in messages))
+def _diagnose(label: str, messages) -> None:
+    """Write each message to standard error as one ``label: message`` line."""
+    _write(sys.stderr, "".join(f"{label}: {message.translate(_ONE_LINE)}\n" for message in messages))
 
 
 def _cmd_analyze(args) -> int:
@@ -79,7 +80,7 @@ def _cmd_analyze(args) -> int:
     aspects, notes = load_aspects(args.aspects)
     profile = bind_aspects(process, aspects, config)
     result = process_adaptability(process, profile, config)
-    _emit_warnings([*notes, *result.warnings])
+    _diagnose("warning", [*notes, *result.warnings])
     report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
     _write(sys.stdout, report + "\n")
     return 0
@@ -118,8 +119,8 @@ def _cmd_compare(args) -> int:
     )
     left = process_adaptability(left_process, bind_aspects(left_process, left_aspects, config), config)
     right = process_adaptability(right_process, bind_aspects(right_process, right_aspects, config), config)
-    _emit_warnings([f"left: {message}" for message in (*left_notes, *left.warnings)]
-                   + [f"right: {message}" for message in (*right_notes, *right.warnings)])
+    _diagnose("warning", [f"left: {message}" for message in (*left_notes, *left.warnings)]
+              + [f"right: {message}" for message in (*right_notes, *right.warnings)])
     if args.format == "json":
         report = render_compare_json(left, right, args.process_a, args.process_b)
     else:
@@ -275,15 +276,15 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except _ArgumentError as exc:
-            _write(sys.stderr, f"error: {exc}\n")
+            _diagnose("error", [str(exc)])
             return 1
     try:
         return args.func(args)
     except AdaptMeterError as exc:
-        _write(sys.stderr, f"error: {_format_error(exc)}\n")
+        _diagnose("error", [_format_error(exc)])
         return 1
     except OSError as exc:
-        _write(sys.stderr, f"error: {exc}\n")
+        _diagnose("error", [str(exc)])
         return 2
 
 

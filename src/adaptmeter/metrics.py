@@ -38,7 +38,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
-from .model import BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
+from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
 from .model import Record, _set
 
 if TYPE_CHECKING:
@@ -168,7 +168,7 @@ def process_adaptability(
     sums = [0, *accumulate((vv or 0) * weight for vv, weight in zip(vvs, weights))]
     nodes = []
     for rank, (path, activity, vv) in enumerate(zip(index.paths, index.activities, vvs)):
-        if activity.is_basic:
+        if activity.kind in BASIC_KINDS:
             nodes.append(NodeVD(path, degrees[vv], vv))
         else:
             total = sums[index.ends[rank]] - sums[rank]

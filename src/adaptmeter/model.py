@@ -38,6 +38,11 @@ ADVICE_TYPES = ("before", "around", "after")
 
 DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
 
+# XML character references let a name hold a line break or a tab; text
+# output and diagnostics spell them as escapes through this str.translate
+# table, so each row and each message stays on one line.
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
 
 # Sets a record field from ``__init__``, past Record.__setattr__.
 _set = object.__setattr__
@@ -53,8 +58,9 @@ class Record:
     values), the hash, the repr (``Name(field=value, ...)``) and pickling
     and copying (which rebuild through ``__init__``) derive from the fields.
     `Activity` and `ProcessModel` hold ``attributes`` as a read-only
-    mapping over their own copy, so assigning an item raises TypeError;
-    it has no hash, so ``hash`` raises TypeError on those records too.
+    mapping over their own copy, so assigning an item raises TypeError.
+    Those two records are unhashable: a mapping has no hash, and a hash
+    over ``children`` would recurse through a deep tree.
     """
 
     __slots__ = ()
@@ -99,14 +105,17 @@ def _unnamed(attributes: Mapping[str, str] | None) -> Mapping[str, str]:
 class Activity(Record):
     """One node of the activity tree.
 
-    ``attributes`` holds everything except ``name`` (e.g. ``operation``
-    and ``partnerLink`` on messaging activities); a ``"name"`` key there
-    raises StructuralError. A switch's or pick's children are its
-    branches; the <case>/<otherwise> or <onMessage>/<onAlarm> elements
-    that wrap them in XML are not kept.
+    ``kind`` is in `BASIC_KINDS` (a leaf) or `STRUCTURED_KINDS`; callers
+    test those sets. ``attributes`` holds everything except ``name``
+    (e.g. ``operation`` and ``partnerLink`` on messaging activities); a
+    ``"name"`` key there raises StructuralError. A switch's or pick's
+    children are its branches; the <case>/<otherwise> or
+    <onMessage>/<onAlarm> elements that wrap them in XML are not kept.
+    An activity has no hash (see `Record`).
     """
 
     __slots__ = ("kind", "name", "attributes", "children")
+    __hash__ = None
 
     def __init__(
         self,
@@ -125,14 +134,6 @@ class Activity(Record):
         _set(self, "name", name)
         _set(self, "attributes", _unnamed(attributes))
         _set(self, "children", children)
-
-    @property
-    def is_basic(self) -> bool:
-        return self.kind in BASIC_KINDS
-
-    @property
-    def is_structured(self) -> bool:
-        return self.kind in STRUCTURED_KINDS
 
 
 class ActivityPath(Record):
@@ -172,39 +173,25 @@ class ActivityPath(Record):
 class ProcessIndex(Record):
     """Pre-order ranks of one activity tree, shared by every layer.
 
-    Rank 0 is the root. The node at rank r has address ``paths[r]``,
-    activity ``activities[r]`` and parent rank ``parents[r]`` (-1 at the
-    root); its subtree is exactly the ranks r .. ``ends[r]`` - 1.
-    ``by_kind`` lists each kind's ranks in ascending order. So u is a
-    descendant-or-self of v iff v <= u < ends[v]: the pre/post-plane
-    containment test of Grust, "Accelerating XPath Location Steps"
-    (SIGMOD 2002). `ranks_with` adds its value index: one posting table
-    per (kind, attribute), built on the first lookup. Two indexes are
-    equal only when they are the same object.
+    ``ProcessIndex(root)`` indexes the tree under ``root`` in one
+    iterative pre-order pass. Rank 0 is the root. The node at rank r has
+    address ``paths[r]``, activity ``activities[r]`` and parent rank
+    ``parents[r]`` (-1 at the root); its subtree is exactly the ranks
+    r .. ``ends[r]`` - 1. ``by_kind`` lists each kind's ranks in
+    ascending order. So u is a descendant-or-self of v iff
+    v <= u < ends[v]: the pre/post-plane containment test of Grust,
+    "Accelerating XPath Location Steps" (SIGMOD 2002). `ranks_with` adds
+    its value index: one posting table per (kind, attribute), built on
+    the first lookup. Two indexes are equal only when they are the same
+    object; a copy or a pickle indexes the same root again, with no
+    postings yet.
     """
 
     __slots__ = ("paths", "activities", "parents", "ends", "by_kind", "_postings")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        paths: tuple[ActivityPath, ...],
-        activities: tuple[Activity, ...],
-        parents: tuple[int, ...],
-        ends: tuple[int, ...],
-        by_kind: Mapping[str, tuple[int, ...]],
-    ) -> None:
-        _set(self, "paths", paths)
-        _set(self, "activities", activities)
-        _set(self, "parents", parents)
-        _set(self, "ends", ends)
-        _set(self, "by_kind", by_kind)
-        _set(self, "_postings", {})
-
-    @classmethod
-    def build(cls, root: Activity) -> ProcessIndex:
-        """Index a tree in one iterative pre-order pass."""
+    def __init__(self, root: Activity) -> None:
         paths, activities, parents = [], [], []
         by_kind: dict[str, list[int]] = {}
         # Each entry carries the node's steps; each child's are built once, here.
@@ -224,8 +211,15 @@ class ProcessIndex(Record):
         # closes every subtree before it extends its parent's.
         for rank in range(len(activities) - 1, 0, -1):
             ends[parents[rank]] = max(ends[parents[rank]], ends[rank])
-        kinds = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
-        return cls(tuple(paths), tuple(activities), tuple(parents), tuple(ends), kinds)
+        _set(self, "paths", tuple(paths))
+        _set(self, "activities", tuple(activities))
+        _set(self, "parents", tuple(parents))
+        _set(self, "ends", tuple(ends))
+        _set(self, "by_kind", {kind: tuple(ranks) for kind, ranks in by_kind.items()})
+        _set(self, "_postings", {})
+
+    def __reduce__(self):
+        return self.__class__, (self.activities[0],)
 
     def ranks_with(self, kind: str, attribute: str, value: str) -> tuple[int, ...]:
         """Ascending ranks of ``kind`` whose ``attribute`` (``name``: the
@@ -253,16 +247,17 @@ class ProcessModel(Record):
     """
 
     __slots__ = ("name", "root", "attributes", "_index")
+    __hash__ = None
 
     def __init__(self, name: str, root: Activity, attributes: Mapping[str, str] | None = None) -> None:
         if not name:
             raise StructuralError("process requires a non-empty name")
-        if not root.is_structured:
+        if root.kind not in STRUCTURED_KINDS:
             raise StructuralError(f"process root activity must be structured, got <{root.kind}>")
         _set(self, "name", name)
         _set(self, "root", root)
         _set(self, "attributes", _unnamed(attributes))
-        _set(self, "_index", ProcessIndex.build(root))
+        _set(self, "_index", ProcessIndex(root))
 
     @property
     def index(self) -> ProcessIndex:

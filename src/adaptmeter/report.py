@@ -13,6 +13,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .model import _ONE_LINE
 
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
@@ -38,7 +39,7 @@ def _node_label(node: NodeVD, name: str | None) -> str:
     kind, index = node.path.steps[-1]
     label = f"{indent}{kind}[{index}]"
     if name:
-        label += f" '{name}'"
+        label += f" '{name.translate(_ONE_LINE)}'"
     return label
 
 
@@ -55,7 +56,7 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
     """Human-readable report of a result computed on ``process``; ends with the PAM line."""
     config = result.config_used
     lines = [
-        f"process: {result.process_name}",
+        f"process: {result.process_name}".translate(_ONE_LINE),
         f"reference value (R): {config.reference_value}",
         f"join-point kinds: {', '.join(sorted(config.join_point_kinds))}",
         f"count mode: {config.count_mode}",
@@ -142,8 +143,8 @@ def render_compare_text(
 ) -> str:
     delta = right.pam - left.pam
     lines = [
-        f"left:  {left.process_name}  PAM = {format_vd(left.pam)}  [{left_source}]",
-        f"right: {right.process_name}  PAM = {format_vd(right.pam)}  [{right_source}]",
+        f"left:  {left.process_name}  PAM = {format_vd(left.pam)}  [{left_source}]".translate(_ONE_LINE),
+        f"right: {right.process_name}  PAM = {format_vd(right.pam)}  [{right_source}]".translate(_ONE_LINE),
     ]
     delta_line = f"delta (right - left) = {format_vd(delta, signed=True)}"
     if color:

@@ -88,7 +88,7 @@ def aggregate(
     activity: Activity, path: ActivityPath, profile: VariabilityProfile, config: AnalysisConfig
 ) -> list[NodeVD]:
     """Recursively compute the VDs of the subtree rooted at one activity, in pre-order."""
-    if activity.is_basic:
+    if activity.kind in BASIC_KINDS:
         if is_join_point(activity, config):
             vv = variability_value(profile, path, config)
             return [NodeVD(path, variability_degree(vv, config.reference_value), vv=vv)]

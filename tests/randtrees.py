@@ -6,7 +6,7 @@ import random
 
 from adaptmeter import Activity, AnalysisConfig, ProcessModel
 from adaptmeter.matching import VariabilityProfile
-from adaptmeter.model import ADVICE_TYPES, is_join_point, iter_activities
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, is_join_point, iter_activities
 
 BASIC = ("receive", "invoke", "reply", "assign")
 STRUCTURED = ("sequence", "switch", "pick", "flow", "while")
@@ -74,7 +74,7 @@ def _has_messaging(activity: Activity) -> bool:
 
 def _with_live_branches(activity: Activity) -> Activity:
     """Swap kinds so every switch/pick branch contains a messaging activity."""
-    if activity.is_basic:
+    if activity.kind in BASIC_KINDS:
         return activity
     children = list(activity.children)
     for index, child in enumerate(children):
@@ -86,7 +86,7 @@ def _with_live_branches(activity: Activity) -> Activity:
 
 
 def _inject_messaging(activity: Activity) -> Activity:
-    if activity.is_basic:
+    if activity.kind in BASIC_KINDS:
         return Activity("invoke", activity.name, dict(activity.attributes))
     children = (_inject_messaging(activity.children[0]),) + activity.children[1:]
     return Activity(activity.kind, activity.name, activity.attributes, children)
@@ -108,7 +108,7 @@ def random_profile(
 
 def shuffled_clone(activity: Activity, rng: random.Random) -> Activity:
     """Recursively permute children; basic leaves are shared, not copied."""
-    if activity.is_basic:
+    if activity.kind in BASIC_KINDS:
         return activity
     order = list(range(len(activity.children)))
     rng.shuffle(order)

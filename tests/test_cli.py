@@ -132,6 +132,15 @@ class TestAnalyze:
         assert out == ""
         assert "no_such_file.bpel" in err
 
+    def test_error_lines_spell_paths_as_pathlib_does(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "bad.bpel").write_text("<process name='p'>\n<sequence>", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "analyze", "./fixtures/nope.bpel") == (
+            2, "", "error: [Errno 2] No such file or directory: 'fixtures/nope.bpel'\n")
+        for raw, shown in (("./bad.bpel", "bad.bpel"), ("sub/../bad.bpel", "sub/../bad.bpel")):
+            assert run_cli(capsys, "analyze", raw) == (1, "", f"error: {shown}:2: no element found: line 2, column 10\n")
+
     def test_parse_error_exits_1_with_file_line_context(self, tmp_path, capsys):
         bad = tmp_path / "bad.bpel"
         bad.write_text('<process name="p">\n<sequence>\n<foreach/>\n</sequence>\n</process>', encoding="utf-8")
@@ -808,3 +817,68 @@ class TestColor:
         plain = render_compare_text(left, right, "a", "b", color=False)
         assert "\x1b" not in plain
         assert colored.replace("\x1b[1m", "").replace("\x1b[0m", "") == plain
+
+
+class TestLineBreaksInNames:
+    """XML character references let a name hold a line break or a tab; text
+    output and diagnostics escape them, so every row and message is one line."""
+
+    PROCESS = ('<process name="p&#10;q"><sequence name="s&#13;t">'
+               '<invoke name="a&#10;b" operation="x"/><invoke name="c&#9;d"/></sequence></process>')
+    ASPECT = ('<aspect name="A&#10;X"><pointcut name="pc">//reply</pointcut>'
+              '<advice type="before"><invoke/></advice></aspect>')
+
+    def _files(self, tmp_path):
+        process, aspect = tmp_path / "p.bpel", tmp_path / "a.xml"
+        process.write_text(self.PROCESS, encoding="utf-8")
+        aspect.write_text(self.ASPECT, encoding="utf-8")
+        return str(process), str(aspect)
+
+    def test_text_rows_and_warnings_stay_on_one_line(self, tmp_path, capsys):
+        process, aspect = self._files(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", process, "--aspects", aspect)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == r"process: p\nq"
+        assert lines[5:8] == [
+            r"sequence[0] 's\rt'  vd=0.0000  n=2",
+            r"  invoke[0] 'a\nb'  vd=0.0000  vv=0 *",
+            r"  invoke[1] 'c\td'  vd=0.0000  vv=0 *",
+        ]
+        assert err == "warning: aspect 'A\\nX' pointcut 'pc': selector matched no activities\n"
+
+    def test_json_keeps_the_names_as_they_are(self, tmp_path, capsys):
+        process, aspect = self._files(tmp_path)
+        code, out, _ = run_cli(capsys, "analyze", process, "--aspects", aspect, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["process"] == "p\nq"
+        assert payload["warnings"] == ["aspect 'A\nX' pointcut 'pc': selector matched no activities"]
+
+    def test_compare_headers_stay_on_one_line(self, tmp_path, capsys):
+        process, _ = self._files(tmp_path)
+        tabbed = tmp_path / "t\tab.bpel"
+        tabbed.write_text(self.PROCESS, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compare", process, str(tabbed))
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            f"left:  p\\nq  PAM = 0.0000  [{process}]",
+            f"right: p\\nq  PAM = 0.0000  [{tmp_path}/t\\tab.bpel]",
+        ]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze", TRAVEL, "--join-points", "a\nb"],
+         "error: join-point kinds must be basic activity kinds, got: a\\nb\n"),
+        (["analyze", TRAVEL, "--frob\rx"], "error: adapt-meter: unrecognized arguments: --frob\\rx\n"),
+    ], ids=["config", "usage"])
+    def test_error_lines_stay_on_one_line(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", expected)
+
+    def test_a_parse_error_in_a_file_named_with_a_line_break(self, tmp_path, capsys):
+        bad = tmp_path / "x\ny.bpel"
+        bad.write_text("<process name='p'>\n<sequence>", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {tmp_path}/x\\ny.bpel:2: ")
+        assert err.count("\n") == 1

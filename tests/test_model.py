@@ -8,7 +8,7 @@ import pytest
 
 from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
 from adaptmeter.matching import match_selector
-from adaptmeter.model import ActivityPath, ProcessIndex, is_join_point, iter_activities, resolve_path
+from adaptmeter.model import STRUCTURED_KINDS, ActivityPath, ProcessIndex, is_join_point, iter_activities, resolve_path
 from adaptmeter.selectors import parse_selector
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
@@ -90,7 +90,7 @@ class TestProcessIndex:
         rng = random.Random(20211)
         for _ in range(50):
             process = random_process(rng, max_nodes=20)
-            index = ProcessIndex.build(process.root)
+            index = ProcessIndex(process.root)
             expected = list(walk(process))
             assert list(zip(index.paths, index.activities)) == expected
             for kind, ranks in index.by_kind.items():
@@ -169,7 +169,7 @@ class TestEligibleChild:
         for _ in range(20):
             process = random_process(rng)
             for _, activity in iter_activities(process):
-                if activity.is_structured:
+                if activity.kind in STRUCTURED_KINDS:
                     descendants = []
 
                     def collect(node):

@@ -329,6 +329,21 @@ class TestLoadAspects:
         assert [aspect.name for aspect in load_aspects((tmp_path,))[0]] == ["A"]
 
 
+    def test_path_spellings_in_notes(self, tmp_path, monkeypatch):
+        # The notes spell a path as pathlib does: "./" and repeated or
+        # trailing slashes go, ".." stays, and a dot-file is scanned too.
+        directory = tmp_path / "d"
+        (directory / "sub").mkdir(parents=True)
+        (directory / "a.xml").write_text(self.GOOD, encoding="utf-8")
+        (directory / ".hidden.xml").write_text(self.GOOD.replace('name="A"', 'name="H"'), encoding="utf-8")
+        (directory / "zz_broken.xml").write_text("<aspect name='x'>", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for raw, shown in (("./d/", "d"), ("d//", "d"), ("d/sub/..", "d/sub/..")):
+            aspects, notes = load_aspects([raw])
+            assert [aspect.name for aspect in aspects] == ["H", "A"]
+            assert notes == [f"skipping {shown}/zz_broken.xml: no element found: line 1, column 17"]
+
+
 class TestSerializeProcess:
     def test_fixture_round_trip(self, travel_process, linear_process, mini_process):
         for process in (travel_process, linear_process, mini_process):

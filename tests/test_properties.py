@@ -22,7 +22,7 @@ from adaptmeter import (
     process_adaptability,
 )
 from adaptmeter.matching import VariabilityProfile, match_selector
-from adaptmeter.model import ADVICE_TYPES, find_join_points
+from adaptmeter.model import ADVICE_TYPES, STRUCTURED_KINDS, find_join_points
 from adaptmeter.parsing import Aspect, serialize_process
 from adaptmeter.selectors import PointcutSelector
 import oracles
@@ -47,7 +47,7 @@ activities = st.recursive(
     max_leaves=12,
 )
 processes = activities.map(
-    lambda root: ProcessModel("p", root if root.is_structured else Activity("sequence", children=(root,)))
+    lambda root: ProcessModel("p", root if root.kind in STRUCTURED_KINDS else Activity("sequence", children=(root,)))
 )
 selectors = st.lists(
     st.tuples(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import copy
 import inspect
 import pickle
@@ -79,6 +80,13 @@ def test_equal_records_have_equal_hashes():
     assert ActivityPath(path.steps) != path.steps
 
 
+def test_records_that_hold_attributes_declare_themselves_unhashable(travel_process):
+    for record in (travel_process.root.children[0], travel_process):
+        assert not isinstance(record, collections.abc.Hashable)
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(record).__name__}'$"):
+            hash(record)
+
+
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_records_round_trip_through_pickle_and_copy(records, clone):
@@ -102,8 +110,18 @@ def test_process_equality_ignores_whether_the_index_was_built():
 def test_index_equality_is_identity(travel_process):
     index = travel_process.index
     assert index == index
-    assert index != ProcessIndex.build(travel_process.root)
-    assert len({index, ProcessIndex.build(travel_process.root)}) == 2
+    assert index != ProcessIndex(travel_process.root)
+    assert len({index, ProcessIndex(travel_process.root)}) == 2
+
+
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_index_clones_index_the_same_tree(travel_process, clone):
+    index = travel_process.index
+    twin = clone(index)
+    assert twin is not index
+    for column in ("paths", "activities", "parents", "ends", "by_kind"):
+        assert getattr(twin, column) == getattr(index, column)
 
 
 def _outcome(compute, record):
@@ -125,7 +143,7 @@ def test_filled_postings_leave_the_process_value_unchanged(travel_aspects):
     assert repr(bound) == repr(fresh)
     assert pickle.dumps(bound) == pickle.dumps(fresh)
     assert bound.index is index and hash(index) == index_hash
-    assert index == index and index != ProcessIndex.build(bound.root)
+    assert index == index and index != ProcessIndex(bound.root)
     for clone in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
         twin = clone(bound)
         assert twin == fresh and repr(twin) == repr(fresh)

@@ -20,6 +20,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
+from adaptmeter.model import BASIC_KINDS
 from adaptmeter.report import sweep_csv
 from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
@@ -47,7 +48,7 @@ def _process_with_join_points(rng, count):
     """A random tree over ``count`` invokes and some assigns, grouped bottom-up."""
     nodes = [Activity("invoke") for _ in range(count)] + [Activity("assign") for _ in range(count // 4)]
     rng.shuffle(nodes)
-    while len(nodes) > 1 or nodes[0].is_basic:
+    while len(nodes) > 1 or nodes[0].kind in BASIC_KINDS:
         size = rng.randint(1, min(4, len(nodes)))
         at = rng.randrange(len(nodes) - size + 1)
         kind = rng.choice(("sequence", "flow", "while", "switch", "pick"))
