@@ -40,8 +40,10 @@ DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
 
 # XML character references let a name hold a line break or a tab; text
 # output and diagnostics spell them as escapes through this str.translate
-# table, so each row and each message stays on one line.
-_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t"})
+# table, so each row and each message stays on one line, also for readers
+# that split lines as str.splitlines does.
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t",
+                           "\x85": "\\x85", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 
 # Sets a record field from ``__init__``, past Record.__setattr__.
@@ -183,13 +185,14 @@ class ProcessIndex(Record):
     "Accelerating XPath Location Steps" (SIGMOD 2002). `ranks_with` adds
     its value index: one posting table per (kind, attribute), built on
     the first lookup. Two indexes are equal only when they are the same
-    object; a copy or a pickle indexes the same root again, with no
-    postings yet.
+    object, and a repr names only the object; a copy or a pickle indexes
+    the same root again, with no postings yet.
     """
 
     __slots__ = ("paths", "activities", "parents", "ends", "by_kind", "_postings")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __repr__ = object.__repr__
 
     def __init__(self, root: Activity) -> None:
         paths, activities, parents = [], [], []

@@ -55,10 +55,6 @@ BRANCH_ELEMENTS = {"switch": ("case", "otherwise"), "pick": ("onMessage", "onAla
 _ENABLED = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _wrap_error(tag: str, line: int, found: int) -> StructuralError:
-    return StructuralError(f"<{tag}> must wrap exactly one activity, found {found}", line=line)
-
-
 # The role of an open element, which decides what its children may be.
 # Roles up to _ROOT hold activities; a _WRAPPER (a switch/pick branch or
 # an <advice>) must hold exactly one.
@@ -70,7 +66,6 @@ _ACTIVITY, _WRAPPER, _ROOT, _ASPECT, _BRANCHING, _SECTION, _POINTCUT, _DOCUMENT 
 # process's root-activity lines or an aspect's advice types.
 _ROLE, _TAG, _LINE, _NAME, _ATTRS, _KIDS, _MORE = range(7)
 _SECTIONS = {"partnerLinks": "partnerLink", "variables": "variable"}
-_DRAINED = (None,)  # the frame of an element read after the first error
 # The deepest element nesting a document may have, its root element being
 # at depth 1; opaque content is not counted. A report grows with the sum of
 # its nodes' depths, so a chain N deep would cost O(N^2) time and memory.
@@ -80,13 +75,11 @@ MAX_NESTING = 2000
 def _build(text: str, root_tag: str, other_roots: bool = False):
     """Read a process or aspect document in one streaming pass.
 
-    Each element is checked when its start or end tag arrives, in the order
-    a recursive descent over the finished tree would check it, and each
-    activity is built when its element closes. Malformed XML outranks any
-    other error, so after the first error expat still reads the rest. A
-    descent counts a branch wrapper's or an <advice>'s activities before it
-    checks them; so the wrappers open at the first error keep counting, and
-    the outermost one that does not hold exactly one activity reports instead.
+    Each element is checked when its start or end tag arrives: the rules of
+    a start tag when it opens, and an element's counts when it closes. Each
+    activity is built when its element closes. The first broken rule read
+    is the one reported. Malformed XML outranks it, so after it expat still
+    reads the rest of the document, with no handlers.
 
     Returns the ProcessModel or Aspect, or None for a document whose root
     is not ``root_tag`` when ``other_roots`` is set.
@@ -99,27 +92,11 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
     error: AdaptMeterError | None = None
     result = None
 
-    def fail(exc: AdaptMeterError, opened: bool) -> None:
+    def fail(exc: AdaptMeterError) -> None:
+        # With no handlers, expat only checks the rest is well-formed XML.
         nonlocal error
         error = exc
-        for frame in stack:
-            if frame[_ROLE] == _WRAPPER:
-                frame[_KIDS].append(None)  # its child that failed or holds the failure
-        if opened:  # a start tag failed, so its element is open
-            stack.append(_DRAINED)
-        parser.StartElementHandler, parser.EndElementHandler = drained_start, drained_end
-        parser.CharacterDataHandler = None
-
-    def drained_start(tag: str, attrs: dict[str, str]) -> None:
-        if stack[-1][_ROLE] == _WRAPPER:
-            stack[-1][_KIDS].append(None)
-        stack.append(_DRAINED)
-
-    def drained_end(tag: str) -> None:
-        nonlocal error
-        frame = stack.pop()
-        if frame[_ROLE] == _WRAPPER and len(frame[_KIDS]) != 1:
-            error = _wrap_error(frame[_TAG], frame[_LINE], len(frame[_KIDS]))
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal skip
@@ -194,7 +171,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
             else:
                 raise UnsupportedElement(f"<{tag}> is not a supported activity", line=parser.CurrentLineNumber)
         except AdaptMeterError as exc:
-            fail(exc, True)
+            fail(exc)
 
     def end(tag: str) -> None:
         nonlocal skip, result
@@ -217,7 +194,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 parent[_KIDS].append(activity)
             elif role == _WRAPPER:
                 if len(children) != 1:
-                    raise _wrap_error(tag, line, len(children))
+                    raise StructuralError(f"<{tag}> must wrap exactly one activity, found {len(children)}", line=line)
                 if parent[_ROLE] == _BRANCHING:
                     parent[_MORE].append(tag)
                     parent[_KIDS].append(children[0])
@@ -246,7 +223,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                                           line=line)
                 result = Aspect(name, tuple(children), more[0], attributes)  # the enabled flag
         except AdaptMeterError as exc:
-            fail(exc, False)
+            fail(exc)
 
     def doctype(*_) -> None:
         # The grammar needs no DTD; refusing one also refuses entity declarations.

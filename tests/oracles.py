@@ -437,6 +437,8 @@ def _parse_activity(root: _XmlNode) -> Activity:
                         line=child.line,
                     )
                 if len(child.children) != 1:
+                    for activity in child.children:  # checked before the count; only this error path recurses
+                        _parse_activity(activity)
                     raise StructuralError(
                         f"<{child.tag}> must wrap exactly one activity, found {len(child.children)}",
                         line=child.line,
@@ -537,12 +539,13 @@ def _aspect_from_node(root: _XmlNode) -> Aspect:
                     f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}",
                     line=child.line,
                 )
+            for activity in child.children:  # checked, not kept, before the count
+                _parse_activity(activity)
             if len(child.children) != 1:
                 raise StructuralError(
                     f"<advice> must wrap exactly one activity, found {len(child.children)}",
                     line=child.line,
                 )
-            _parse_activity(child.children[0])  # checked, not kept
             advices.append(advice_type)
         else:
             raise UnsupportedElement(f"unsupported element <{child.tag}> in <aspect>", line=child.line)

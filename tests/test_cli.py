@@ -847,6 +847,20 @@ class TestLineBreaksInNames:
         ]
         assert err == "warning: aspect 'A\\nX' pointcut 'pc': selector matched no activities\n"
 
+    def test_unicode_line_separators_are_escaped_too(self, tmp_path, capsys):
+        # str.splitlines also breaks at U+0085, U+2028 and U+2029, which a name may hold.
+        process = tmp_path / "u.bpel"
+        process.write_text('<process name="p"><sequence><invoke name="c&#x2028;d"/><invoke name="e&#x85;f"/>'
+                           '<invoke name="g&#x2029;h"/><invoke/></sequence></process>', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", str(process))
+        assert code == 0
+        assert out.splitlines() == out.split("\n")[:-1]
+        assert out.splitlines()[6:9] == [
+            r"  invoke[0] 'c\u2028d'  vd=0.0000  vv=0 *",
+            r"  invoke[1] 'e\x85f'    vd=0.0000  vv=0 *",
+            r"  invoke[2] 'g\u2029h'  vd=0.0000  vv=0 *",
+        ]
+
     def test_json_keeps_the_names_as_they_are(self, tmp_path, capsys):
         process, aspect = self._files(tmp_path)
         code, out, _ = run_cli(capsys, "analyze", process, "--aspects", aspect, "--format", "json")

@@ -1,8 +1,11 @@
-"""The streaming parser against the two-pass reader it replaced.
+"""The streaming parser against a two-pass reader.
 
 Seeded random process and aspect documents, most of them broken in some
 way, must give equal models, or the same first error: class, message and
-line. See `oracles.parse_process_two_pass` for the reference reader.
+line. The reference reader, `oracles.parse_process_two_pass`, descends the
+finished tree; it is the reader the streaming parser replaced, except that
+it checks the activities a branch wrapper or an <advice> holds before their
+count, so that it too reports the first broken rule in document order.
 """
 
 from __future__ import annotations

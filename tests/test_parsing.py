@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import cProfile
 import gc
+import pstats
 import random
 import time
 
 import pytest
 
 from adaptmeter import (
+    AdaptMeterError,
     BadAdviceType,
     MalformedXml,
     MissingPointcut,
@@ -458,6 +461,50 @@ class TestNestingLimit:
     def test_malformed_xml_still_outranks_the_limit(self):
         with pytest.raises(MalformedXml):
             parse_process(f'<process name="p">{_chain(10**4)}')
+
+
+class TestFirstBrokenRule:
+    """The first broken rule read is reported; malformed XML still outranks it."""
+
+    def test_a_bad_activity_in_a_branch_outranks_the_branch_count(self):
+        doc = '<process name="P">\n<switch>\n<case>\n<invoke/>\n<bogus/>\n</case>\n</switch>\n</process>'
+        with pytest.raises(UnsupportedElement, match="^<bogus> is not a supported activity$") as info:
+            parse_process(doc)
+        assert info.value.line == 5
+
+    def test_a_bad_activity_in_an_advice_outranks_the_advice_count(self):
+        doc = _aspect_doc('\n<pointcut>//invoke</pointcut>\n<advice type="before">\n'
+                          '<invoke/>\n<reply><x/></reply>\n<scope/>\n</advice>\n')
+        with pytest.raises(UnsupportedElement, match="^<scope> is not a supported activity$") as info:
+            parse_aspect(doc)
+        assert info.value.line == 6
+
+    def test_a_branch_of_two_valid_activities_reports_its_count(self):
+        doc = '<process name="P">\n<switch>\n<case>\n<invoke/>\n<reply/>\n</case>\n</switch>\n</process>'
+        with pytest.raises(StructuralError, match="^<case> must wrap exactly one activity, found 2$") as info:
+            parse_process(doc)
+        assert info.value.line == 3
+
+    def test_malformed_xml_after_a_rule_error_still_wins(self):
+        doc = '<process name="P">\n<sequence>\n<bogus/>\n<invoke>\n</sequence>\n</process>'
+        with pytest.raises(MalformedXml) as info:
+            parse_process(doc)
+        assert info.value.line == 5
+
+    @pytest.mark.parametrize("head, body, tail", [
+        ("<sequence><bogus/>", "<invoke/>", "</sequence>"),
+        ("<switch><case><invoke/><bogus/></case>", "<case><invoke/></case>", "</switch>"),
+    ], ids=["sequence", "switch"])
+    def test_no_python_runs_after_the_first_error(self, head, body, tail):
+        # A deterministic cost gate: the calls a failing parse makes do not
+        # grow with the document after its first error.
+        def calls(n: int) -> int:
+            profile = cProfile.Profile()
+            with pytest.raises(AdaptMeterError):
+                profile.runcall(parse_process, f'<process name="P">{head}{body * n}{tail}</process>')
+            return pstats.Stats(profile).total_calls
+
+        assert calls(1000) == calls(2000)
 
 
 def test_parsing_leaves_no_cyclic_garbage():

@@ -114,6 +114,14 @@ def test_index_equality_is_identity(travel_process):
     assert len({index, ProcessIndex(travel_process.root)}) == 2
 
 
+def test_index_repr_names_the_object_not_its_columns():
+    # The columns hold every subtree again, so a column repr would recurse
+    # through the deepest tree the parser accepts.
+    depth = MAX_NESTING - 2
+    process = parse_process(f'<process name="deep">{"<sequence>" * depth}<invoke/>{"</sequence>" * depth}</process>')
+    assert repr(process.index) == object.__repr__(process.index)
+
+
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_index_clones_index_the_same_tree(travel_process, clone):
