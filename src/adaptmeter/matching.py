@@ -39,24 +39,20 @@ class JoinPointBinding(Record):
 class VariabilityProfile(Record):
     """Advice attachments per join point: the bindings and the warnings binding raised.
 
-    The constructor keeps the bindings in one canonical order: by path
-    (`ActivityPath.order_key`, the tree's pre-order), then aspect name,
-    pointcut name and advice type. ``raw_counts`` is a read-only view of
-    the per-path ``{advice type: count}`` maps derived from them.
+    The bindings keep the order they are given in, since PAM reads only
+    the counts. ``raw_counts`` is a read-only view of the per-path
+    ``{advice type: count}`` maps derived from them, in first-found order.
     """
 
     __slots__ = ("bindings", "warnings", "_counts")
 
     def __init__(self, bindings: Iterable[JoinPointBinding] = (), warnings: tuple[str, ...] = ()) -> None:
-        ordered = tuple(sorted(
-            bindings,
-            key=lambda b: (b.path.order_key, b.aspect_name, b.pointcut_name, ADVICE_TYPES.index(b.advice_type)),
-        ))
+        bindings = tuple(bindings)
         counts: dict[ActivityPath, dict[str, int]] = {}
-        for binding in ordered:
+        for binding in bindings:
             at_path = counts.setdefault(binding.path, {})
             at_path[binding.advice_type] = at_path.get(binding.advice_type, 0) + 1
-        _set(self, "bindings", ordered)
+        _set(self, "bindings", bindings)
         _set(self, "warnings", warnings)
         _set(self, "_counts", MappingProxyType({path: MappingProxyType(at_path) for path, at_path in counts.items()}))
 
@@ -134,6 +130,8 @@ def bind_aspects(
     Each matched join point yields one binding carrying the aspect's
     advice type. Disabled aspects are skipped unless the config says
     otherwise; matches on non-join-point activities become warnings.
+    Bindings come aspect by aspect, then pointcut by pointcut, and each
+    pointcut's matches in pre-order.
     """
     bindings: list[JoinPointBinding] = []
     warnings: list[str] = []

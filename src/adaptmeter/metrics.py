@@ -38,7 +38,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import NotAJoinPoint, ReferenceTooSmall
-from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel, is_join_point
+from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel
 from .model import Record, _set
 
 if TYPE_CHECKING:
@@ -127,7 +127,7 @@ def _weights(index: ProcessIndex, config: AnalysisConfig) -> tuple[list[int], li
     ranks' products; every other rank weighs 0.
     """
     activities, parents = index.activities, index.parents
-    live = [is_join_point(activity, config) for activity in activities]
+    live = [activity.kind in config.join_point_kinds for activity in activities]
     divisors = [0] * len(live)
     for rank in range(len(live) - 1, 0, -1):
         parent = parents[rank]
@@ -156,7 +156,7 @@ def process_adaptability(
     index = process.index
     reference = config.reference_value
     divisors, weights, _ = _weights(index, config)
-    vvs = [variability_value(profile, path, config) if is_join_point(activity, config) else None
+    vvs = [variability_value(profile, path, config) if activity.kind in config.join_point_kinds else None
            for path, activity in zip(index.paths, index.activities)]
     # The VD of each VV that occurs (None: not a join point), built in
     # pre-order, so ReferenceTooSmall names the first offending VV in
@@ -189,7 +189,7 @@ def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[Ac
     return {
         path: Fraction(weight, scale)
         for path, activity, weight in zip(index.paths, index.activities, weights)
-        if is_join_point(activity, config)
+        if activity.kind in config.join_point_kinds
     }
 
 

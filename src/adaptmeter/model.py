@@ -334,11 +334,6 @@ def resolve_path(process: ProcessModel, path: ActivityPath) -> Activity:
     return index.activities[rank]
 
 
-def is_join_point(activity: Activity, config: AnalysisConfig) -> bool:
-    """True when advice can attach to this activity."""
-    return activity.kind in config.join_point_kinds
-
-
 def find_join_points(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, Activity]]:
     """All join-point activities in pre-order."""
-    return [(path, activity) for path, activity in iter_activities(process) if is_join_point(activity, config)]
+    return [(path, activity) for path, activity in iter_activities(process) if activity.kind in config.join_point_kinds]

@@ -30,7 +30,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.metrics import variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath, is_join_point
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath
 from adaptmeter.parsing import Aspect, Pointcut, serialize_process
 from adaptmeter.selectors import PointcutSelector, parse_selector
 
@@ -73,7 +73,7 @@ def is_ancestor_of(path: ActivityPath, other: ActivityPath) -> bool:
 
 def is_eligible_child(activity: Activity, config: AnalysisConfig) -> bool:
     """A join point, or a structured activity with a join-point descendant."""
-    if is_join_point(activity, config):
+    if activity.kind in config.join_point_kinds:
         return True
     return any(is_eligible_child(child, config) for child in activity.children)
 
@@ -89,7 +89,7 @@ def aggregate(
 ) -> list[NodeVD]:
     """Recursively compute the VDs of the subtree rooted at one activity, in pre-order."""
     if activity.kind in BASIC_KINDS:
-        if is_join_point(activity, config):
+        if activity.kind in config.join_point_kinds:
             vv = variability_value(profile, path, config)
             return [NodeVD(path, variability_degree(vv, config.reference_value), vv=vv)]
         return [NodeVD(path, Fraction(0))]
@@ -115,7 +115,7 @@ def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[Ac
     nodes = dict(walk(process))
     weights = {}
     for path, activity in nodes.items():
-        if is_join_point(activity, config):
+        if activity.kind in config.join_point_kinds:
             weight = Fraction(1)
             for depth in range(1, len(path.steps)):
                 weight /= divisor(nodes[ActivityPath(path.steps[:depth])], config)
@@ -187,8 +187,8 @@ def bind_aspects(
 ) -> tuple[tuple[JoinPointBinding, ...], tuple[str, ...]]:
     """The bindings and warnings of binding ``aspects``, by rescanning per pointcut.
 
-    Matches and bindings are ordered by each path's position in `walk`,
-    then aspect name, pointcut name and advice type.
+    Bindings come aspect by aspect and pointcut by pointcut; each
+    pointcut's matches are ordered by their position in `walk`.
     """
     position = {path: rank for rank, (path, _) in enumerate(walk(process))}
     bindings, warnings = [], []
@@ -205,8 +205,6 @@ def bind_aspects(
                 else:
                     warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
                                     f"match at {path} is not a join point (<{path.kind}>); skipped")
-    bindings.sort(key=lambda b: (position[b.path], b.aspect_name, b.pointcut_name,
-                                 ADVICE_TYPES.index(b.advice_type)))
     return tuple(bindings), tuple(warnings)
 
 

@@ -6,7 +6,7 @@ import random
 
 from adaptmeter import Activity, AnalysisConfig, ProcessModel
 from adaptmeter.matching import VariabilityProfile
-from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, is_join_point, iter_activities
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, iter_activities
 
 BASIC = ("receive", "invoke", "reply", "assign")
 STRUCTURED = ("sequence", "switch", "pick", "flow", "while")
@@ -99,7 +99,7 @@ def random_profile(
     assignments = [
         (path, advice_type)
         for path, activity in iter_activities(process)
-        if is_join_point(activity, config)
+        if activity.kind in config.join_point_kinds
         for advice_type in ADVICE_TYPES
         if rng.random() < density
     ]

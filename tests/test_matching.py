@@ -216,11 +216,16 @@ class TestBindAspects:
             VariabilityProfile.from_assignments([(path, "sideways")])
 
     def test_binding_order_is_stable(self, travel_process, travel_aspects, config):
-        profile = bind_aspects(travel_process, travel_aspects, config)
-        again = bind_aspects(travel_process, list(travel_aspects), config)
-        assert profile == again
-        keys = [(binding.path.order_key, binding.aspect_name) for binding in profile.bindings]
-        assert keys == sorted(keys)
+        # Found order: position in the aspect list, then pre-order within
+        # the pointcut. The first aspect matches every invoke.
+        aspects = [_aspect("Everywhere", "//invoke"), *reversed(travel_aspects)]
+        profile = bind_aspects(travel_process, aspects, config)
+        assert profile == bind_aspects(travel_process, list(aspects), config)
+        names = [aspect.name for aspect in aspects]
+        ranks = {path: rank for rank, path in enumerate(travel_process.index.paths)}
+        keys = [(names.index(binding.aspect_name), ranks[binding.path]) for binding in profile.bindings]
+        assert keys == sorted(set(keys))
+        assert len({key[0] for key in keys}) == len(aspects)
 
     def test_matches_that_are_equal_copies_bind_in_the_same_order(
         self, travel_process, travel_aspects, config, monkeypatch

@@ -8,7 +8,7 @@ import pytest
 
 from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
 from adaptmeter.matching import match_selector
-from adaptmeter.model import STRUCTURED_KINDS, ActivityPath, ProcessIndex, is_join_point, iter_activities, resolve_path
+from adaptmeter.model import STRUCTURED_KINDS, ActivityPath, ProcessIndex, find_join_points, iter_activities, resolve_path
 from adaptmeter.selectors import parse_selector
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
@@ -122,24 +122,26 @@ class TestProcessIndex:
             assert index.ranks_with("case", "name", "x") == ()
 
 
+def _join_point_kinds(config: AnalysisConfig, *children: Activity) -> list[str]:
+    process = ProcessModel("p", Activity("sequence", children=children))
+    return [activity.kind for _, activity in find_join_points(process, config)]
+
+
 class TestJoinPointClassification:
     def test_messaging_trio_by_default(self, config):
-        assert is_join_point(Activity("invoke"), config)
-        assert is_join_point(Activity("receive"), config)
-        assert is_join_point(Activity("reply"), config)
-        assert not is_join_point(Activity("assign"), config)
+        kinds = ("invoke", "receive", "reply", "assign")
+        assert _join_point_kinds(config, *map(Activity, kinds)) == ["invoke", "receive", "reply"]
 
     def test_structured_never_a_join_point(self, config):
-        assert not is_join_point(Activity("sequence", children=(Activity("invoke"),)), config)
+        assert _join_point_kinds(config, Activity("sequence", children=(Activity("invoke"),))) == ["invoke"]
 
     def test_respects_configured_kinds(self):
         config = AnalysisConfig(join_point_kinds=frozenset({"receive"}))
-        assert not is_join_point(Activity("invoke"), config)
-        assert is_join_point(Activity("receive"), config)
+        assert _join_point_kinds(config, Activity("invoke"), Activity("receive")) == ["receive"]
 
     def test_assign_can_be_opted_in(self):
         config = AnalysisConfig(join_point_kinds=frozenset({"assign"}))
-        assert is_join_point(Activity("assign"), config)
+        assert _join_point_kinds(config, Activity("assign")) == ["assign"]
 
 
 class TestEligibleChild:
@@ -161,7 +163,7 @@ class TestEligibleChild:
         for _ in range(20):
             process = random_process(rng)
             for _, activity in iter_activities(process):
-                if is_join_point(activity, config):
+                if activity.kind in config.join_point_kinds:
                     assert is_eligible_child(activity, config)
 
     def test_structured_eligible_iff_join_point_descendant(self, config):
@@ -178,7 +180,7 @@ class TestEligibleChild:
                             collect(child)
 
                     collect(activity)
-                    expected = any(is_join_point(d, config) for d in descendants)
+                    expected = any(d.kind in config.join_point_kinds for d in descendants)
                     assert is_eligible_child(activity, config) == expected
 
 

@@ -137,9 +137,29 @@ def test_bind_aspects_agrees_with_naive_binder():
         assert (profile.bindings, profile.warnings) == oracles.bind_aspects(process, aspects, config)
         shuffled = list(profile.bindings)
         rng.shuffle(shuffled)
-        assert VariabilityProfile(shuffled, profile.warnings) == profile
+        assert VariabilityProfile(shuffled, profile.warnings).raw_counts == profile.raw_counts
         shared += any(sum(counts.values()) > 1 for counts in profile.raw_counts.values())
     assert shared > 100
+
+
+@pytest.mark.parametrize("count_mode", ["set", "raw-clamped"])
+def test_counts_and_metrics_do_not_depend_on_aspect_order(count_mode):
+    rng = random.Random(4242)
+    reordered = 0
+    for _ in range(150):
+        process = random_process(rng, max_depth=5, max_nodes=25)
+        config = AnalysisConfig(join_point_kinds=rng.choice(CONFIGS).join_point_kinds, count_mode=count_mode,
+                                include_disabled_aspects=rng.random() < 0.5)
+        aspects = _random_aspects(rng, process, config)
+        shuffled = list(aspects)
+        rng.shuffle(shuffled)
+        profile, other = bind_aspects(process, aspects, config), bind_aspects(process, shuffled, config)
+        assert other.raw_counts == profile.raw_counts
+        assert sorted(other.warnings) == sorted(profile.warnings)
+        result = process_adaptability(process, profile, config)
+        assert process_adaptability(process, other, config).nodes == result.nodes
+        reordered += other.bindings != profile.bindings
+    assert reordered > 10
 
 
 # Small value pools, so attribute values repeat across nodes and kinds
