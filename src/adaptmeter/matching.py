@@ -64,7 +64,7 @@ class VariabilityProfile(Record):
     def from_assignments(cls, assignments: Iterable[tuple[ActivityPath, str]]) -> "VariabilityProfile":
         """Build a profile directly from (path, advice type) pairs.
 
-        Used when attachments are chosen programmatically (sweeps, tests)
+        Used when attachments are chosen programmatically (tests)
         rather than matched from aspect files; provenance is synthetic.
         """
         return cls(

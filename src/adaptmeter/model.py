@@ -38,12 +38,14 @@ ADVICE_TYPES = ("before", "around", "after")
 
 DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
 
-# XML character references let a name hold a line break or a tab; text
-# output and diagnostics spell them as escapes through this str.translate
-# table, so each row and each message stays on one line, also for readers
-# that split lines as str.splitlines does.
-_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t",
-                           "\x85": "\\x85", "\u2028": "\\u2028", "\u2029": "\\u2029"})
+# XML character references let a name hold a line break, a tab or a C1
+# control (U+0080-U+009F; U+009B is CSI on some terminals). Text output
+# and diagnostics spell them as escapes through this str.translate table,
+# so each row and each message stays on one line, also for readers that
+# split lines as str.splitlines does, and no name sends a control
+# sequence to a terminal.
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t", "\u2028": "\\u2028", "\u2029": "\\u2029",
+                           **{chr(code): f"\\x{code:x}" for code in range(0x80, 0xA0)}})
 
 
 # Sets a record field from ``__init__``, past Record.__setattr__.

@@ -41,26 +41,28 @@ def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple
     return [(path, advice_type) for path, _ in find_join_points(process, config) for advice_type in ADVICE_TYPES]
 
 
-def sweep_case(process: ProcessModel, order: Sequence[tuple[ActivityPath, str]], config: AnalysisConfig) -> SweepCase:
+def sweep_case(
+    weights: dict[ActivityPath, Fraction], order: Sequence[tuple[ActivityPath, str]], config: AnalysisConfig
+) -> SweepCase:
     """Fill slots in the given order, recording PAM after each addition.
 
-    PAM is linear in the join-point VDs, so each slot that raises a join
-    point's VV adds weight / R. Slots on other paths, repeated types in
-    set mode and slots past R in raw-clamped mode add nothing.
+    ``weights`` is the table `join_point_weights` returns for the process,
+    and ``order`` holds distinct slots of those join points, such as a
+    permutation or a prefix of `enumerate_slots`. PAM is linear in the
+    join-point VDs, so each slot raises its join point's VV and adds
+    weight / R; in raw-clamped mode slots past R add nothing. Out of that
+    contract, a path that is not a join point raises KeyError and a
+    repeated slot counts again.
     """
     reference = config.reference_value
-    steps = {path: weight / reference for path, weight in join_point_weights(process, config).items()}
+    steps = {path: weight / reference for path, weight in weights.items()}
     clamp = config.count_mode == "raw-clamped"
-    placed: set[tuple[ActivityPath, str]] = set()
-    vvs: dict[ActivityPath, int] = {}
+    vvs = dict.fromkeys(steps, 0)
     pam = Fraction(0)
     series = [pam]
-    for slot in order:
-        path = slot[0]
-        vv = vvs.get(path, 0)
-        raised = vv < reference if clamp else slot not in placed
-        placed.add(slot)
-        if raised and path in steps:
+    for path, _ in order:
+        vv = vvs[path]
+        if not clamp or vv < reference:
             variability_degree(vv + 1, reference)  # raises ReferenceTooSmall past R
             vvs[path] = vv + 1
             pam += steps[path]
@@ -75,13 +77,15 @@ def run_sweep(
 
     ``seed`` must be an int (anything else raises ValueError), so
     identical inputs and seed give identical cases. Orders are drawn
-    distinct while the permutation space allows it.
+    distinct while the permutation space allows it, and every case reads
+    one weight table.
     """
     if type(num_cases) is not int or num_cases < 1:
         raise ValueError("num_cases must be an integer >= 1")
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     slots = enumerate_slots(process, config)
+    weights = join_point_weights(process, config)
     rng = random.Random(seed)
     seen: set[tuple[tuple[ActivityPath, str], ...]] = set()
     cases = []
@@ -96,7 +100,7 @@ def run_sweep(
             if order not in seen or len(seen) >= math.factorial(len(slots)):
                 break
         seen.add(order)
-        cases.append(sweep_case(process, order, config))
+        cases.append(sweep_case(weights, order, config))
     return tuple(cases)
 
 

@@ -861,6 +861,24 @@ class TestLineBreaksInNames:
             r"  invoke[2] 'g\u2029h'  vd=0.0000  vv=0 *",
         ]
 
+    def test_c1_controls_are_escaped_too(self, tmp_path, capsys):
+        # XML allows U+0080-U+009F, and U+009B is CSI on terminals that act on C1 controls.
+        process, aspect = tmp_path / "c.bpel", tmp_path / "c.xml"
+        process.write_text('<process name="P&#x9b;2J"><sequence><invoke name="a&#x80;b"/><invoke name="c&#x9f;d"/>'
+                           '</sequence></process>', encoding="utf-8")
+        aspect.write_text('<aspect name="A&#x9b;X"><pointcut name="p&#x90;c">//reply</pointcut>'
+                          '<advice type="before"><invoke/></advice></aspect>', encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(process), "--aspects", str(aspect))
+        assert code == 0
+        assert not any("\x80" <= char <= "\x9f" for char in out + err)
+        lines = out.splitlines()
+        assert lines[0] == r"process: P\x9b2J"
+        assert lines[6:8] == [
+            r"  invoke[0] 'a\x80b'  vd=0.0000  vv=0 *",
+            r"  invoke[1] 'c\x9fd'  vd=0.0000  vv=0 *",
+        ]
+        assert err == "warning: aspect 'A\\x9bX' pointcut 'p\\x90c': selector matched no activities\n"
+
     def test_json_keeps_the_names_as_they_are(self, tmp_path, capsys):
         process, aspect = self._files(tmp_path)
         code, out, _ = run_cli(capsys, "analyze", process, "--aspects", aspect, "--format", "json")

@@ -23,7 +23,7 @@ from adaptmeter.model import ADVICE_TYPES, ActivityPath, iter_activities
 from adaptmeter.parsing import Aspect, Pointcut
 from adaptmeter.report import render_text
 from adaptmeter.selectors import PointcutSelector, parse_selector, render_selector
-from adaptmeter.sweep import enumerate_slots, sweep_case
+from adaptmeter.sweep import enumerate_slots, run_sweep, sweep_case
 import oracles
 from randtrees import random_process
 
@@ -319,9 +319,6 @@ def test_integer_aggregation_and_shared_details_agree_with_node_by_node_oracles(
 
 def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
     order = enumerate_slots(process, config)
-    order += [order[rng.randrange(len(order))] for _ in range(rng.randrange(4))] if order else []
-    paths = [path for path, activity in iter_activities(process) if activity.kind not in config.join_point_kinds]
-    order += [(paths[rng.randrange(len(paths))], "before") for _ in range(2)] if paths else []
     rng.shuffle(order)
     return order
 
@@ -334,7 +331,7 @@ def test_sweep_case_agrees_with_per_count_reaggregation():
         config = CONFIGS[rng.randrange(len(CONFIGS))]
         order = _random_order(rng, process, config)
         expected = _outcome(lambda: oracles.sweep_series(process, order, config))
-        actual = _outcome(lambda: list(sweep_case(process, order, config).series))
+        actual = _outcome(lambda: list(sweep_case(join_point_weights(process, config), order, config).series))
         assert actual == expected
         raised += isinstance(expected, tuple)
     assert raised > 0
@@ -347,5 +344,29 @@ def test_sweep_raises_at_the_same_slot_below_three(reference_value):
     order = enumerate_slots(process, config)
     for count in range(len(order) + 1):
         expected = _outcome(lambda: oracles.sweep_series(process, order[:count], config))
-        actual = _outcome(lambda: list(sweep_case(process, order[:count], config).series))
+        actual = _outcome(lambda: list(sweep_case(join_point_weights(process, config), order[:count], config).series))
         assert actual == expected
+
+
+def test_run_sweep_agrees_with_per_count_reaggregation():
+    # The production path: one weight table per sweep, cases in draw order.
+    # The draws depend only on the slots, so a config with the same kinds
+    # and R = 3, which no sweep can exceed, shows every order drawn.
+    rng = random.Random(60605)
+    configs = [*CONFIGS, AnalysisConfig()]
+    outcomes = {"cases": 0, "raised": 0}
+    for number in range(5 * len(configs)):
+        process = random_process(rng, max_depth=4, max_nodes=14)
+        config = configs[number % len(configs)]
+        drawn = run_sweep(process, 3, number, AnalysisConfig(join_point_kinds=config.join_point_kinds))
+        expected = []
+        for order in (case.order for case in drawn):
+            series = _outcome(lambda: oracles.sweep_series(process, order, config))
+            if isinstance(series, tuple):  # run_sweep stops at the first case that raises
+                expected = series
+                break
+            expected.append((order, series))
+        actual = _outcome(lambda: [(case.order, list(case.series)) for case in run_sweep(process, 3, number, config)])
+        assert actual == expected
+        outcomes["raised" if isinstance(expected, tuple) else "cases"] += 1
+    assert outcomes["cases"] > 40 and outcomes["raised"] > 10, outcomes

@@ -86,7 +86,11 @@ def write_inputs(root: Path) -> list[list[str]]:
             ["sweep", path, "--exhaustive"],
         ]
         config = CONFIGS[number % len(CONFIGS)]
-        calls += [["analyze", path, "--aspects", "aspects", *config], ["sweep", path, "--exhaustive", *config]]
+        calls += [
+            ["analyze", path, "--aspects", "aspects", *config],
+            ["sweep", path, "--exhaustive", *config],
+            ["sweep", path, "--cases", "2", "--seed", str(number), *config],
+        ]
         if number % 5 == 1:
             calls.append(["compare", path, f"p{number - 1:02}.bpel", "--aspects", "aspects", "--format", "json"])
     return calls

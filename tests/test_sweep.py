@@ -18,6 +18,7 @@ from adaptmeter import (
     process_adaptability,
     run_sweep,
 )
+from adaptmeter import metrics
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
 from adaptmeter.model import BASIC_KINDS
@@ -92,7 +93,7 @@ class TestEnumerateSlots:
 class TestSweepCase:
     def test_endpoints(self, travel_process, config):
         slots = enumerate_slots(travel_process, config)
-        case = sweep_case(travel_process, slots, config)
+        case = sweep_case(join_point_weights(travel_process, config), slots, config)
         assert case.series[0] == Fraction(0)
         assert case.series[-1] == Fraction(1)
         assert len(case.series) == 16
@@ -102,19 +103,19 @@ class TestSweepCase:
         domestic = [slot for slot in slots if "switch" in str(slot[0]) and "invoke[0]" in str(slot[0])]
         assert len(domestic) == 3
         rest = [slot for slot in slots if slot not in domestic]
-        case = sweep_case(travel_process, domestic + rest, config)
+        case = sweep_case(join_point_weights(travel_process, config), domestic + rest, config)
         assert case.series[3] == Fraction(1, 8)
 
     def test_single_join_point_steps_by_thirds(self, config):
         slots = enumerate_slots(SINGLE_JOIN_POINT, config)
-        case = sweep_case(SINGLE_JOIN_POINT, slots, config)
+        case = sweep_case(join_point_weights(SINGLE_JOIN_POINT, config), slots, config)
         assert list(case.series) == [0, Fraction(1, 3), Fraction(2, 3), 1]
 
     def test_series_monotone(self, mini_process, config):
         rng = random.Random(8)
         slots = enumerate_slots(mini_process, config)
         rng.shuffle(slots)
-        pams = sweep_case(mini_process, slots, config).series
+        pams = sweep_case(join_point_weights(mini_process, config), slots, config).series
         assert all(a <= b for a, b in zip(pams, pams[1:]))
 
     def test_subset_sum_consistency(self, travel_process, config):
@@ -124,7 +125,7 @@ class TestSweepCase:
         rng = random.Random(9)
         order = enumerate_slots(travel_process, config)
         rng.shuffle(order)
-        case = sweep_case(travel_process, order, config)
+        case = sweep_case(weights, order, config)
         for count, pam in enumerate(case.series):
             expected = sum(
                 (weights[path] / config.reference_value for path, _ in order[:count]),
@@ -185,6 +186,14 @@ class TestRunSweep:
             assert pams[0] == 0
             assert pams[-1] == 1
             assert all(a <= b for a, b in zip(pams, pams[1:]))
+
+    def test_builds_the_weight_table_once(self, monkeypatch, travel_process, config):
+        # every case reads the one table; no case walks the tree again
+        tables = []
+        build = metrics._weights
+        monkeypatch.setattr(metrics, "_weights", lambda *args: tables.append(args) or build(*args))
+        assert len(run_sweep(travel_process, 5, 42, config)) == 5
+        assert len(tables) == 1
 
     def test_case_ids_are_sequential(self, mini_process, config):
         result = run_sweep(mini_process, 4, 9, config)
