@@ -17,6 +17,7 @@ layer reads its nodes from there instead of walking the tree.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from operator import attrgetter
 from types import MappingProxyType
@@ -141,45 +142,44 @@ class Activity(Record):
 
 
 class ActivityPath(Record):
-    """Stable address of one activity: (kind, sibling index) steps from the root.
+    """Stable address of one activity: its text ``/process/<kind>[<sibling index>]/...``.
 
-    Paths do not compare with ``<``; sort them by ``order_key``, which
-    follows the tree's depth-first pre-order (for sibling indices, plain
-    lexicographic order).
+    ``text`` is what ``str(path)`` returns and every report prints; the
+    index builds each node's text once, from its parent's. Paths do not
+    compare with ``<``; sort them by ``order_key``, which follows the
+    tree's depth-first pre-order (for sibling indices, plain
+    lexicographic order) and breaks ties between trees by the text.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("text",)
 
-    def __init__(self, steps: tuple[tuple[str, int], ...]) -> None:
-        _set(self, "steps", steps)
+    def __init__(self, text: str) -> None:
+        _set(self, "text", text)
 
     @property
     def kind(self) -> str:
-        return self.steps[-1][0]
+        text = self.text
+        return text[text.rindex("/") + 1 : text.rindex("[")]
 
     @property
     def depth(self) -> int:
-        return len(self.steps)
+        return self.text.count("/") - 1
 
     @property
     def order_key(self) -> tuple:
-        return (tuple(index for _, index in self.steps), self.steps)
-
-    def __deepcopy__(self, memo: dict) -> ActivityPath:
-        # A path holds only strings and integers, so a deep copy may share it.
-        # Copying its steps would make a deep copy of a result O(depth²).
-        return self
+        return (tuple(map(int, re.findall(r"\[(\d+)\]", self.text))), self.text)
 
     def __str__(self) -> str:
-        return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in self.steps)
+        return self.text
 
 
 class ProcessIndex(Record):
     """Pre-order ranks of one activity tree, shared by every layer.
 
     ``ProcessIndex(root)`` indexes the tree under ``root`` in one
-    iterative pre-order pass. Rank 0 is the root. The node at rank r has
-    address ``paths[r]``, activity ``activities[r]`` and parent rank
+    iterative pre-order pass, which builds each child's path text from
+    its parent's with one f-string. Rank 0 is the root. The node at rank
+    r has address ``paths[r]``, activity ``activities[r]`` and parent rank
     ``parents[r]`` (-1 at the root); its subtree is exactly the ranks
     r .. ``ends[r]`` - 1. ``by_kind`` lists each kind's ranks in
     ascending order. So u is a descendant-or-self of v iff
@@ -199,17 +199,17 @@ class ProcessIndex(Record):
     def __init__(self, root: Activity) -> None:
         paths, activities, parents = [], [], []
         by_kind: dict[str, list[int]] = {}
-        # Each entry carries the node's steps; each child's are built once, here.
-        stack = [(((root.kind, 0),), root, -1)]
+        # Each entry carries the node's path text; each child's is built once, here.
+        stack = [(f"/process/{root.kind}[0]", root, -1)]
         while stack:
-            steps, activity, parent = stack.pop()
+            text, activity, parent = stack.pop()
             rank = len(activities)
-            paths.append(ActivityPath(steps))
+            paths.append(ActivityPath(text))
             activities.append(activity)
             parents.append(parent)
             by_kind.setdefault(activity.kind, []).append(rank)
             if activity.children:
-                stack += reversed([(steps + ((child.kind, index),), child, rank)
+                stack += reversed([(f"{text}/{child.kind}[{index}]", child, rank)
                                    for index, child in enumerate(activity.children)])
         ends = list(range(1, len(activities) + 1))
         # Descendants outrank their ancestors, so sweeping ranks downwards

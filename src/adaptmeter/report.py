@@ -35,9 +35,7 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
 
 
 def _node_label(node: NodeVD, name: str | None) -> str:
-    indent = "  " * (node.path.depth - 1)
-    kind, index = node.path.steps[-1]
-    label = f"{indent}{kind}[{index}]"
+    label = "  " * (node.path.depth - 1) + node.path.text.rpartition("/")[2]
     if name:
         label += f" '{name.translate(_ONE_LINE)}'"
     return label

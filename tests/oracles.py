@@ -43,7 +43,14 @@ _PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
 
 def activity_path(text: str) -> ActivityPath:
     """Parse the ``/process/sequence[0]/invoke[2]`` form that ``str(path)`` writes."""
-    prefix = "/process/"
+    path = ActivityPath(text)
+    steps_of(path)  # raises ValueError on anything else
+    return path
+
+
+def steps_of(path: ActivityPath) -> tuple[tuple[str, int], ...]:
+    """The (kind, sibling index) steps from the root that ``path`` addresses."""
+    text, prefix = str(path), "/process/"
     if not text.startswith(prefix):
         raise ValueError(f"activity path must start with {prefix!r}: {text!r}")
     steps = []
@@ -52,23 +59,29 @@ def activity_path(text: str) -> ActivityPath:
         if match is None:
             raise ValueError(f"bad path step {part!r} in {text!r}")
         steps.append((match.group(1), int(match.group(2))))
-    return ActivityPath(tuple(steps))
+    return tuple(steps)
+
+
+def path_of(steps: tuple[tuple[str, int], ...]) -> ActivityPath:
+    """The path of (kind, sibling index) steps from the root, formatted here, step by step."""
+    return ActivityPath("/process/" + "/".join(f"{kind}[{index}]" for kind, index in steps))
 
 
 def walk(process: ProcessModel):
     """Every (path, activity) pair in pre-order, by recursion."""
 
-    def visit(path: ActivityPath, activity: Activity):
-        yield path, activity
+    def visit(steps: tuple[tuple[str, int], ...], activity: Activity):
+        yield path_of(steps), activity
         for index, child in enumerate(activity.children):
-            yield from visit(ActivityPath(path.steps + ((child.kind, index),)), child)
+            yield from visit(steps + ((child.kind, index),), child)
 
-    yield from visit(ActivityPath(((process.root.kind, 0),)), process.root)
+    yield from visit(((process.root.kind, 0),), process.root)
 
 
 def is_ancestor_of(path: ActivityPath, other: ActivityPath) -> bool:
-    """True when ``path`` is a proper prefix of ``other``."""
-    return len(path.steps) < len(other.steps) and other.steps[: len(path.steps)] == path.steps
+    """True when ``path``'s steps are a proper prefix of ``other``'s."""
+    steps, others = steps_of(path), steps_of(other)
+    return len(steps) < len(others) and others[: len(steps)] == steps
 
 
 def is_eligible_child(activity: Activity, config: AnalysisConfig) -> bool:
@@ -85,16 +98,17 @@ def divisor(activity: Activity, config: AnalysisConfig) -> int:
 
 
 def aggregate(
-    activity: Activity, path: ActivityPath, profile: VariabilityProfile, config: AnalysisConfig
+    activity: Activity, steps: tuple[tuple[str, int], ...], profile: VariabilityProfile, config: AnalysisConfig
 ) -> list[NodeVD]:
-    """Recursively compute the VDs of the subtree rooted at one activity, in pre-order."""
+    """Recursively compute the VDs of the subtree rooted at one activity, at ``steps``, in pre-order."""
+    path = path_of(steps)
     if activity.kind in BASIC_KINDS:
         if activity.kind in config.join_point_kinds:
             vv = variability_value(profile, path, config)
             return [NodeVD(path, variability_degree(vv, config.reference_value), vv=vv)]
         return [NodeVD(path, Fraction(0))]
     subtrees = [
-        aggregate(child, ActivityPath(path.steps + ((child.kind, index),)), profile, config)
+        aggregate(child, steps + ((child.kind, index),), profile, config)
         for index, child in enumerate(activity.children)
     ]
     n = divisor(activity, config)
@@ -107,7 +121,7 @@ def aggregate_process(
     process: ProcessModel, profile: VariabilityProfile, config: AnalysisConfig
 ) -> tuple[NodeVD, ...]:
     """Every node's VD in pre-order, root first: what `MetricsResult.nodes` holds."""
-    return tuple(aggregate(process.root, ActivityPath(((process.root.kind, 0),)), profile, config))
+    return tuple(aggregate(process.root, ((process.root.kind, 0),), profile, config))
 
 
 def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
@@ -117,8 +131,9 @@ def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[Ac
     for path, activity in nodes.items():
         if activity.kind in config.join_point_kinds:
             weight = Fraction(1)
-            for depth in range(1, len(path.steps)):
-                weight /= divisor(nodes[ActivityPath(path.steps[:depth])], config)
+            steps = steps_of(path)
+            for depth in range(1, len(steps)):
+                weight /= divisor(nodes[path_of(steps[:depth])], config)
             weights[path] = weight
     return weights
 
@@ -559,8 +574,9 @@ def render_text(result, process: ProcessModel, color: bool = False) -> str:
     from adaptmeter.report import format_vd
 
     def label(node: NodeVD, name) -> str:
-        kind, index = node.path.steps[-1]
-        text = f"{'  ' * (node.path.depth - 1)}{kind}[{index}]"
+        steps = steps_of(node.path)
+        kind, index = steps[-1]
+        text = f"{'  ' * (len(steps) - 1)}{kind}[{index}]"
         return f"{text} '{name}'" if name else text
 
     def detail(node: NodeVD) -> str:

@@ -10,9 +10,7 @@ A linear cost grows at most ×2 per doubling; GROWTH leaves a little room
 for costs such as sorting that grow slightly faster.
 
 Left out, for now:
-- JSON ``analyze`` and ``compare`` on deep chains: ``ActivityPath.__str__``
-  runs per node, O(depth) each.
-- Memory on deep chains: the index holds each node's whole step tuple.
+- Memory on deep chains: the index holds each node's whole path text.
 """
 
 from __future__ import annotations
@@ -117,17 +115,37 @@ def test_many_pointcuts(gen, tmp_path):
     _assert_linear("peak", peaks)
 
 
-def test_deep_chain_text_analyze(tmp_path):
-    # A chain of nested <sequence>s, one <invoke> at each level, and one
-    # pointcut that binds every invoke but the outermost.
-    aspect = tmp_path / "every_level.xml"
+def _chains(directory) -> list[tuple[str, str]]:
+    """Chains of nested <sequence>s, one <invoke> at each level, 250, 500
+    and 1,000 levels deep, each with one pointcut that binds every invoke
+    but the outermost: a (process, aspect) pair per depth."""
+    aspect = directory / "every_level.xml"
     aspect.write_text('<aspect name="EveryLevel"><pointcut name="pc">//sequence//sequence//invoke</pointcut>'
                       '<advice type="before"><invoke/></advice></aspect>', encoding="utf-8")
-    arguments = []
+    chains = []
     for depth in (250, 500, 1000):
-        process = tmp_path / f"chain{depth}.bpel"
+        process = directory / f"chain{depth}.bpel"
         process.write_text(f'<process name="Chain">{"<sequence><invoke/>" * depth}{"</sequence>" * depth}</process>',
                            encoding="utf-8")
-        arguments.append(["analyze", str(process), "--aspects", str(aspect)])
-    calls, _ = zip(*map(_costs, arguments))
+        chains.append((str(process), str(aspect)))
+    return chains
+
+
+def test_deep_chain_text_analyze(tmp_path):
+    calls, _ = zip(*(_costs(["analyze", process, "--aspects", aspect]) for process, aspect in _chains(tmp_path)))
+    _assert_linear("calls", calls)
+
+
+DEEP_COMMANDS = {
+    "analyze-json": lambda process, aspect: ["analyze", process, "--aspects", aspect, "--format", "json"],
+    "compare-text": lambda process, aspect: ["compare", process, process, "--aspects", aspect, "--aspects2", aspect],
+    "compare-json": lambda process, aspect: ["compare", process, process, "--aspects", aspect, "--aspects2", aspect,
+                                             "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS)
+def test_deep_chains(command, tmp_path):
+    # Each path is printed once per report, from text the index built once.
+    calls, _ = zip(*(_costs(DEEP_COMMANDS[command](*chain)) for chain in _chains(tmp_path)))
     _assert_linear("calls", calls)

@@ -77,9 +77,9 @@ class TestActivityPath:
             resolve_path(travel_process, activity_path("/process/sequence[0]/invoke[0]"))
         # a negative sibling index is not an address, though Python would read it
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath((("sequence", 0), ("reply", -1))))
+            resolve_path(travel_process, ActivityPath("/process/sequence[0]/reply[-1]"))
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath(()))
+            resolve_path(travel_process, ActivityPath(""))
 
 
 class TestProcessIndex:

@@ -21,11 +21,11 @@ from adaptmeter.matching import VariabilityProfile, match_selector
 from adaptmeter.metrics import join_point_weights, variability_value
 from adaptmeter.model import ADVICE_TYPES, ActivityPath, iter_activities
 from adaptmeter.parsing import Aspect, Pointcut
-from adaptmeter.report import render_text
+from adaptmeter.report import _compare_rows, render_text
 from adaptmeter.selectors import PointcutSelector, parse_selector, render_selector
 from adaptmeter.sweep import enumerate_slots, run_sweep, sweep_case
 import oracles
-from randtrees import random_process
+from randtrees import random_process, random_profile
 
 SELECTOR_ELEMENTS = ("process", "case", "sequence", "switch", "pick", "flow", "while",
                      "receive", "invoke", "reply", "assign")
@@ -57,7 +57,7 @@ def _random_step(rng: random.Random, process, element: str) -> tuple[str, tuple[
 def _random_selector(rng: random.Random, process) -> PointcutSelector:
     size = rng.randint(1, 4)
     paths = [path for path, _ in iter_activities(process)]
-    chain = ["process"] + [kind for kind, _ in paths[rng.randrange(len(paths))].steps]
+    chain = ["process"] + [kind for kind, _ in oracles.steps_of(paths[rng.randrange(len(paths))])]
     if rng.random() < 0.6 and len(chain) >= size:
         # steps along one real root-to-node chain, so multi-step selectors hit
         elements = [chain[i] for i in sorted(rng.sample(range(len(chain)), size))]
@@ -210,7 +210,7 @@ def test_match_selector_with_conjunctive_predicates_agrees_with_naive_matcher():
         paths = [path for path, _ in iter_activities(process)]
         looked_up: dict[tuple[str, str], set[str]] = {}
         for _ in range(24):
-            chain = ["process"] + [kind for kind, _ in paths[rng.randrange(len(paths))].steps]
+            chain = ["process"] + [kind for kind, _ in oracles.steps_of(paths[rng.randrange(len(paths))])]
             size = min(rng.randint(1, 3), len(chain))
             if rng.random() < 0.7:
                 elements = [chain[i] for i in sorted(rng.sample(range(len(chain)), size))]
@@ -245,6 +245,27 @@ def test_process_adaptability_agrees_with_recursive_aggregate():
         assert join_point_weights(process, config) == oracles.join_point_weights(process, config)
         raised += isinstance(expected[0], type)  # an error outcome starts with the error class
     assert 0 < raised < 2000
+
+
+def test_compare_rows_follow_the_order_of_the_steps():
+    # Where two trees' sibling indices tie, the (kind, index) steps order
+    # the rows by the first kind that differs, as the path text must.
+    def key(path):
+        steps = oracles.steps_of(path)
+        return [index for _, index in steps], steps
+
+    rng = random.Random(60603)
+    config = AnalysisConfig()
+    ties = other_roots = 0
+    for _ in range(300):
+        left, right = (random_process(rng, max_depth=5, max_nodes=25) for _ in range(2))
+        results = [process_adaptability(process, random_profile(rng, process, config), config)
+                   for process in (left, right)]
+        paths = [oracles.activity_path(row["path"]) for row in _compare_rows(*results)]
+        assert paths == sorted(paths, key=key)
+        ties += len({tuple(key(path)[0]) for path in paths}) < len(paths)
+        other_roots += left.root.kind != right.root.kind
+    assert ties > 50 and other_roots > 150
 
 
 PRIMES = [p for p in range(2, 180) if all(p % d for d in range(2, p))]  # the first 40 primes

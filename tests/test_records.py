@@ -64,20 +64,20 @@ def test_fields_cannot_be_assigned_or_deleted(records):
 def test_equal_records_have_equal_hashes():
     path = activity_path("/process/sequence[0]/invoke[1]")
     pairs = [
-        (path, ActivityPath((("sequence", 0), ("invoke", 1)))),
+        (path, ActivityPath("/process/sequence[0]/invoke[1]")),
         (AnalysisConfig(join_point_kinds=["invoke"]), AnalysisConfig(join_point_kinds=frozenset({"invoke"}))),
         (parse_selector('//invoke[@operation="x"]'), parse_selector("//invoke[@operation='x']")),
-        (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", ActivityPath(path.steps), "before")),
-        (NodeVD(path, Fraction(1, 3), 1), NodeVD(ActivityPath(path.steps), Fraction(2, 6), 1)),
+        (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", ActivityPath(path.text), "before")),
+        (NodeVD(path, Fraction(1, 3), 1), NodeVD(ActivityPath(path.text), Fraction(2, 6), 1)),
         (SweepCase(((path, "after"),), (Fraction(0),)),
-         SweepCase(((ActivityPath(path.steps), "after"),), (Fraction(0),))),
+         SweepCase(((ActivityPath(path.text), "after"),), (Fraction(0),))),
     ]
     for left, right in pairs:
         assert left is not right
         assert left == right
         assert hash(left) == hash(right)
     assert NodeVD(path, Fraction(1, 3), 1) != NodeVD(path, Fraction(1, 3), 2)
-    assert ActivityPath(path.steps) != path.steps
+    assert ActivityPath(path.text) != path.text
 
 
 def test_records_that_hold_attributes_declare_themselves_unhashable(travel_process):
@@ -166,10 +166,10 @@ def test_omitted_attributes_are_a_fresh_empty_dict():
 
 
 def test_node_vd_repr_keeps_the_field_form():
-    path = ActivityPath((("sequence", 0), ("invoke", 2)))
+    path = ActivityPath("/process/sequence[0]/invoke[2]")
     node = NodeVD(path, Fraction(1, 3), vv=1)
     assert repr(node) == (
-        "NodeVD(path=ActivityPath(steps=(('sequence', 0), ('invoke', 2))), vd=Fraction(1, 3), vv=1, n_used=None)"
+        "NodeVD(path=ActivityPath(text='/process/sequence[0]/invoke[2]'), vd=Fraction(1, 3), vv=1, n_used=None)"
     )
     assert node.kind == "invoke"
 

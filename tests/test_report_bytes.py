@@ -92,7 +92,8 @@ def write_inputs(root: Path) -> list[list[str]]:
             ["sweep", path, "--cases", "2", "--seed", str(number), *config],
         ]
         if number % 5 == 1:
-            calls.append(["compare", path, f"p{number - 1:02}.bpel", "--aspects", "aspects", "--format", "json"])
+            compare = ["compare", path, f"p{number - 1:02}.bpel", "--aspects", "aspects"]
+            calls += [compare, [*compare, "--format", "json"]]
     return calls
 
 
