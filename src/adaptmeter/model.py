@@ -4,15 +4,17 @@ A process is a named tree of activities. Basic activities (receive,
 invoke, reply, assign) are atomic leaves; structured activities
 (sequence, switch, pick, flow, while) order their members and are the
 only nodes with children. Every node has a stable address of the form
-``/process/sequence[0]/switch[2]/invoke[0]`` used as the key for advice
-bindings and per-node metric results. The model keeps only what the
-metric and the selectors read: the XML syntax around the tree (branch
-wrappers, declaration sections) is checked by the parser, not kept.
+``/process/sequence[0]/switch[2]/invoke[0]``, an `ActivityPath`: a
+``str`` of that text, used as the key for advice bindings and per-node
+metric results. The model keeps only what the metric and the selectors
+read: the XML syntax around the tree (branch wrappers, declaration
+sections) is checked by the parser, not kept.
 
 Every record of the package is an immutable slotted value object (see
-`Record`), so the model is safe to share across threads. Each process
-builds one pre-order `ProcessIndex` as it is constructed, and every
-layer reads its nodes from there instead of walking the tree.
+`Record`), and a path is an immutable string, so the model is safe to
+share across threads. Each process builds one pre-order `ProcessIndex`
+as it is constructed, and every layer reads its nodes from there
+instead of walking the tree.
 """
 
 from __future__ import annotations
@@ -141,36 +143,30 @@ class Activity(Record):
         _set(self, "children", children)
 
 
-class ActivityPath(Record):
-    """Stable address of one activity: its text ``/process/<kind>[<sibling index>]/...``.
+class ActivityPath(str):
+    """Stable address of one activity: the text ``/process/<kind>[<sibling index>]/...``.
 
-    ``text`` is what ``str(path)`` returns and every report prints; the
-    index builds each node's text once, from its parent's. Paths do not
-    compare with ``<``; sort them by ``order_key``, which follows the
-    tree's depth-first pre-order (for sibling indices, plain
+    A path is a ``str``, so it equals, hashes and prints as its plain
+    text, and every report writes it as it is; the index builds each
+    node's text once, from its parent's. ``<`` compares the plain text,
+    which is not the tree's order: sort paths by ``order_key``, which
+    follows the tree's depth-first pre-order (for sibling indices, plain
     lexicographic order) and breaks ties between trees by the text.
     """
 
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        _set(self, "text", text)
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
-        text = self.text
-        return text[text.rindex("/") + 1 : text.rindex("[")]
+        return self[self.rindex("/") + 1 : self.rindex("[")]
 
     @property
     def depth(self) -> int:
-        return self.text.count("/") - 1
+        return self.count("/") - 1
 
     @property
     def order_key(self) -> tuple:
-        return (tuple(map(int, re.findall(r"\[(\d+)\]", self.text))), self.text)
-
-    def __str__(self) -> str:
-        return self.text
+        return (tuple(map(int, re.findall(r"\[(\d+)\]", self))), self)
 
 
 class ProcessIndex(Record):

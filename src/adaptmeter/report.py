@@ -35,7 +35,7 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
 
 
 def _node_label(node: NodeVD, name: str | None) -> str:
-    label = "  " * (node.path.depth - 1) + node.path.text.rpartition("/")[2]
+    label = "  " * (node.path.depth - 1) + node.path.rpartition("/")[2]
     if name:
         label += f" '{name.translate(_ONE_LINE)}'"
     return label
@@ -85,7 +85,7 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
 
 def _node_entry(node: NodeVD) -> dict:
     return {
-        "path": str(node.path),
+        "path": node.path,
         "kind": node.kind,
         "join_point": node.join_point,
         "vv": node.vv,
@@ -123,7 +123,7 @@ def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
         left_vd = left_vds.get(path)
         right_vd = right_vds.get(path)
         delta = right_vd - left_vd if left_vd is not None and right_vd is not None else None
-        rows.append({"path": str(path), "left_vd": _float(left_vd), "right_vd": _float(right_vd),
+        rows.append({"path": path, "left_vd": _float(left_vd), "right_vd": _float(right_vd),
                      "delta": _float(delta)})
     return rows
 

@@ -62,10 +62,11 @@ def sweep_case(
     series = [pam]
     for path, _ in order:
         vv = vvs[path]
-        if not clamp or vv < reference:
-            variability_degree(vv + 1, reference)  # raises ReferenceTooSmall past R
+        if vv < reference:
             vvs[path] = vv + 1
             pam += steps[path]
+        elif not clamp:
+            variability_degree(vv + 1, reference)  # raises ReferenceTooSmall
         series.append(pam)
     return SweepCase(tuple(order), tuple(series))
 

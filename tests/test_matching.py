@@ -234,7 +234,7 @@ class TestBindAspects:
 
         expected = bind_aspects(travel_process, travel_aspects, config)
         original = matching.match_selector
-        copied = lambda selector, process: [ActivityPath(p.text) for p in reversed(original(selector, process))]
+        copied = lambda selector, process: [ActivityPath(p) for p in reversed(original(selector, process))]
         monkeypatch.setattr(matching, "match_selector", copied)
         profile = bind_aspects(travel_process, travel_aspects, config)
         assert profile == expected

@@ -166,7 +166,7 @@ class TestAggregate:
             # A node's children are the nodes whose path extends its own by one step.
             children: dict[ActivityPath, list] = {node.path: [] for node in result.nodes}
             for node in result.nodes[1:]:
-                children[ActivityPath(node.path.text.rpartition("/")[0])].append(node)
+                children[node.path.rpartition("/")[0]].append(node)
             for node in result.nodes:
                 if children[node.path]:
                     total = sum((child.vd for child in children[node.path]), Fraction(0))

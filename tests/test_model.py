@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import cProfile
+import pickle
+import pstats
 import random
 
 import pytest
 
-from adaptmeter import Activity, AnalysisConfig, ConfigError, ProcessModel, StructuralError
+import adaptmeter.model
+from adaptmeter import (
+    Activity,
+    AnalysisConfig,
+    ConfigError,
+    ProcessModel,
+    StructuralError,
+    bind_aspects,
+    process_adaptability,
+    run_sweep,
+)
 from adaptmeter.matching import match_selector
 from adaptmeter.model import STRUCTURED_KINDS, ActivityPath, ProcessIndex, find_join_points, iter_activities, resolve_path
 from adaptmeter.selectors import parse_selector
@@ -81,6 +95,34 @@ class TestActivityPath:
         with pytest.raises(ValueError):
             resolve_path(travel_process, ActivityPath(""))
 
+    def test_a_path_is_its_text(self, travel_process):
+        path = travel_process.index.paths[6]
+        assert isinstance(path, str) and path == "/process/sequence[0]/invoke[3]"
+        assert hash(path) == hash("/process/sequence[0]/invoke[3]")
+        for clone in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+            twin = clone(path)
+            assert type(twin) is ActivityPath and twin == path and twin.kind == "invoke"
+
+    def test_a_path_takes_no_assignment(self, travel_process):
+        path = travel_process.index.paths[6]
+        with pytest.raises(AttributeError):
+            path.kind = "reply"
+        with pytest.raises(AttributeError):
+            path.note = 1
+        assert path.kind == "invoke"
+
+    def test_lookups_by_path_run_no_python_level_hash_or_eq(self, travel_process, travel_aspects, config):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        profile = bind_aspects(travel_process, travel_aspects, config)
+        process_adaptability(travel_process, profile, config)
+        run_sweep(travel_process, 5, 7, config)
+        profiler.disable()
+        functions = pstats.Stats(profiler).stats
+        assert any(name == "bind_aspects" for _, _, name in functions)
+        assert not [(file, line, name) for file, line, name in functions
+                    if file == adaptmeter.model.__file__ and name in ("__hash__", "__eq__")]
+
 
 class TestProcessIndex:
     def test_built_once_per_process(self, travel_process):
@@ -100,6 +142,7 @@ class TestProcessIndex:
         rng = random.Random(20212)
         for _ in range(50):
             index = random_process(rng, max_nodes=20).index
+            assert index.parents[0] == -1 and len(index.ends) == len(index.paths)
             for rank, path in enumerate(index.paths):
                 inside = {other for other in range(len(index.paths)) if is_ancestor_of(path, index.paths[other])}
                 assert inside == set(range(rank + 1, index.ends[rank]))
