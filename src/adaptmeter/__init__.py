@@ -20,7 +20,6 @@ _EXPORTS = {
         "ConfigError",
         "MalformedXml",
         "MissingPointcut",
-        "NotAJoinPoint",
         "ReferenceTooSmall",
         "SelectorSyntax",
         "StructuralError",

@@ -70,16 +70,21 @@ def _diagnose(label: str, messages) -> None:
     _write(sys.stderr, "".join(f"{label}: {message.translate(_ONE_LINE)}\n" for message in messages))
 
 
-def _cmd_analyze(args) -> int:
+def _measure(process, aspects, config: AnalysisConfig):
+    """The metric of ``process`` with ``aspects`` bound; the binding profile is freed on return."""
     from .matching import bind_aspects
     from .metrics import process_adaptability
+
+    return process_adaptability(process, bind_aspects(process, aspects, config), config)
+
+
+def _cmd_analyze(args) -> int:
     from .report import render_json, render_text
 
     config = _build_config(args)
     process = _load(Path(args.process), parse_process)
     aspects, notes = load_aspects(args.aspects)
-    profile = bind_aspects(process, aspects, config)
-    result = process_adaptability(process, profile, config)
+    result = _measure(process, aspects, config)
     _diagnose("warning", [*notes, *result.warnings])
     report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
     _write(sys.stdout, report + "\n")
@@ -106,8 +111,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .matching import bind_aspects
-    from .metrics import process_adaptability
     from .report import render_compare_json, render_compare_text
 
     config = _build_config(args)
@@ -117,8 +120,8 @@ def _cmd_compare(args) -> int:
     right_aspects, right_notes = (
         (left_aspects, left_notes) if args.aspects2 is None else load_aspects(args.aspects2)
     )
-    left = process_adaptability(left_process, bind_aspects(left_process, left_aspects, config), config)
-    right = process_adaptability(right_process, bind_aspects(right_process, right_aspects, config), config)
+    left = _measure(left_process, left_aspects, config)
+    right = _measure(right_process, right_aspects, config)
     _diagnose("warning", [f"left: {message}" for message in (*left_notes, *left.warnings)]
               + [f"right: {message}" for message in (*right_notes, *right.warnings)])
     if args.format == "json":

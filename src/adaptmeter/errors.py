@@ -46,9 +46,5 @@ class ConfigError(AdaptMeterError):
     """Invalid analysis configuration value."""
 
 
-class NotAJoinPoint(AdaptMeterError):
-    """A variability lookup addressed an activity that cannot carry advice."""
-
-
 class ReferenceTooSmall(AdaptMeterError):
     """Observed variability value exceeds the configured reference value."""

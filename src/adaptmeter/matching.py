@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BadAdviceType
-from .model import ADVICE_TYPES, Activity, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, attribute_value
+from .model import ADVICE_TYPES, Activity, AnalysisConfig, ProcessModel, Record, _set, attribute_value, path_kind
 
 if TYPE_CHECKING:
     from .parsing import Aspect
@@ -27,7 +27,7 @@ class JoinPointBinding(Record):
 
     __slots__ = ("aspect_name", "pointcut_name", "path", "advice_type")
 
-    def __init__(self, aspect_name: str, pointcut_name: str, path: ActivityPath, advice_type: str) -> None:
+    def __init__(self, aspect_name: str, pointcut_name: str, path: str, advice_type: str) -> None:
         if advice_type not in ADVICE_TYPES:
             raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}")
         _set(self, "aspect_name", aspect_name)
@@ -48,7 +48,7 @@ class VariabilityProfile(Record):
 
     def __init__(self, bindings: Iterable[JoinPointBinding] = (), warnings: tuple[str, ...] = ()) -> None:
         bindings = tuple(bindings)
-        counts: dict[ActivityPath, dict[str, int]] = {}
+        counts: dict[str, dict[str, int]] = {}
         for binding in bindings:
             at_path = counts.setdefault(binding.path, {})
             at_path[binding.advice_type] = at_path.get(binding.advice_type, 0) + 1
@@ -57,11 +57,11 @@ class VariabilityProfile(Record):
         _set(self, "_counts", MappingProxyType({path: MappingProxyType(at_path) for path, at_path in counts.items()}))
 
     @property
-    def raw_counts(self) -> Mapping[ActivityPath, Mapping[str, int]]:
+    def raw_counts(self) -> Mapping[str, Mapping[str, int]]:
         return self._counts
 
     @classmethod
-    def from_assignments(cls, assignments: Iterable[tuple[ActivityPath, str]]) -> "VariabilityProfile":
+    def from_assignments(cls, assignments: Iterable[tuple[str, str]]) -> "VariabilityProfile":
         """Build a profile directly from (path, advice type) pairs.
 
         Used when attachments are chosen programmatically (tests)
@@ -91,7 +91,7 @@ def _within(ranks: Sequence[int], contexts: Sequence[int], ends: Sequence[int]) 
     return found
 
 
-def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
+def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[str]:
     """All activities reached by the selector, in pre-order.
 
     Each step searches the proper descendants of the previous step's
@@ -144,11 +144,12 @@ def bind_aspects(
                 warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': selector matched no activities")
                 continue
             for path in paths:
-                if path.kind in config.join_point_kinds:
+                kind = path_kind(path)
+                if kind in config.join_point_kinds:
                     bindings.append(JoinPointBinding(aspect.name, pointcut.name, path, aspect.advice_type))
                 else:
                     warnings.append(
                         f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
-                        f"match at {path} is not a join point (<{path.kind}>); skipped"
+                        f"match at {path} is not a join point (<{kind}>); skipped"
                     )
     return VariabilityProfile(bindings, tuple(warnings))

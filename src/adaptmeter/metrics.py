@@ -28,6 +28,10 @@ is a contiguous run of pre-order ranks in the process index, so one
 prefix sum of weight * VV gives every node's numerator, and each node
 builds one exact Fraction. `linear_weight_oracle` computes PAM as the
 weighted sum, and sweeps use the weights to update PAM slot by slot.
+
+`variability_value` reads the advice count at a path and does not check
+its kind: aggregation asks it about join-point ranks only, and the
+oracle about the keys of `join_point_weights`.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .errors import NotAJoinPoint, ReferenceTooSmall
-from .model import BASIC_KINDS, BRANCHING_KINDS, ActivityPath, AnalysisConfig, ProcessIndex, ProcessModel
-from .model import Record, _set
+from .errors import ReferenceTooSmall
+from .model import BASIC_KINDS, BRANCHING_KINDS, AnalysisConfig, ProcessIndex, ProcessModel, Record, _set, path_kind
 
 if TYPE_CHECKING:
     from .matching import VariabilityProfile
@@ -54,7 +57,7 @@ class NodeVD(Record):
 
     __slots__ = ("path", "vd", "vv", "n_used")
 
-    def __init__(self, path: ActivityPath, vd: Fraction, vv: int | None = None, n_used: int | None = None) -> None:
+    def __init__(self, path: str, vd: Fraction, vv: int | None = None, n_used: int | None = None) -> None:
         _set(self, "path", path)
         _set(self, "vd", vd)
         _set(self, "vv", vv)
@@ -62,7 +65,7 @@ class NodeVD(Record):
 
     @property
     def kind(self) -> str:
-        return self.path.kind
+        return path_kind(self.path)
 
     @property
     def join_point(self) -> bool:
@@ -95,14 +98,13 @@ class MetricsResult(Record):
         return self.nodes[0].vd
 
 
-def variability_value(profile: VariabilityProfile, path: ActivityPath, config: AnalysisConfig) -> int:
-    """Number of variabilities at a join point, under the configured count mode.
+def variability_value(profile: VariabilityProfile, path: str, config: AnalysisConfig) -> int:
+    """Number of variabilities at the join point ``path``, under the configured count mode.
 
     ``set`` counts distinct advice types; ``raw-clamped`` counts every
-    binding but clamps at the reference value.
+    binding but clamps at the reference value. A path with no binding
+    counts 0.
     """
-    if path.kind not in config.join_point_kinds:
-        raise NotAJoinPoint(f"{path} is a <{path.kind}>, which cannot carry advice under this config")
     counts = profile.raw_counts.get(path, {})
     if config.count_mode == "set":
         return len(counts)
@@ -177,7 +179,7 @@ def process_adaptability(
     return MetricsResult(process.name, tuple(nodes), config, profile.warnings)
 
 
-def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
+def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[str, Fraction]:
     """Weight of each join point, in pre-order: the product of 1/n over its ancestors.
 
     A join point's weight is how much one unit of its VD moves the

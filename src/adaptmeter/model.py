@@ -3,12 +3,13 @@
 A process is a named tree of activities. Basic activities (receive,
 invoke, reply, assign) are atomic leaves; structured activities
 (sequence, switch, pick, flow, while) order their members and are the
-only nodes with children. Every node has a stable address of the form
-``/process/sequence[0]/switch[2]/invoke[0]``, an `ActivityPath`: a
-``str`` of that text, used as the key for advice bindings and per-node
-metric results. The model keeps only what the metric and the selectors
-read: the XML syntax around the tree (branch wrappers, declaration
-sections) is checked by the parser, not kept.
+only nodes with children. Every node has a stable address, its path: a
+plain ``str`` of the form ``/process/sequence[0]/switch[2]/invoke[0]``,
+used as the key for advice bindings and per-node metric results.
+`path_kind` reads the kind of its last step and `path_order` sorts
+paths in the tree's order. The model keeps only what the metric and the
+selectors read: the XML syntax around the tree (branch wrappers,
+declaration sections) is checked by the parser, not kept.
 
 Every record of the package is an immutable slotted value object (see
 `Record`), and a path is an immutable string, so the model is safe to
@@ -143,30 +144,20 @@ class Activity(Record):
         _set(self, "children", children)
 
 
-class ActivityPath(str):
-    """Stable address of one activity: the text ``/process/<kind>[<sibling index>]/...``.
+def path_kind(path: str) -> str:
+    """The kind of the activity at ``path``: the name of its last step."""
+    return path[path.rindex("/") + 1 : path.rindex("[")]
 
-    A path is a ``str``, so it equals, hashes and prints as its plain
-    text, and every report writes it as it is; the index builds each
-    node's text once, from its parent's. ``<`` compares the plain text,
-    which is not the tree's order: sort paths by ``order_key``, which
-    follows the tree's depth-first pre-order (for sibling indices, plain
-    lexicographic order) and breaks ties between trees by the text.
+
+def path_order(path: str) -> tuple:
+    """Sort key of a path in the tree's depth-first pre-order.
+
+    ``<`` on paths compares their plain text, which is not the tree's
+    order. This key compares the sibling indices step by step, which for
+    paths of one tree is pre-order, and breaks ties between trees by the
+    text.
     """
-
-    __slots__ = ()
-
-    @property
-    def kind(self) -> str:
-        return self[self.rindex("/") + 1 : self.rindex("[")]
-
-    @property
-    def depth(self) -> int:
-        return self.count("/") - 1
-
-    @property
-    def order_key(self) -> tuple:
-        return (tuple(map(int, re.findall(r"\[(\d+)\]", self))), self)
+    return tuple(map(int, re.findall(r"\[(\d+)\]", path))), path
 
 
 class ProcessIndex(Record):
@@ -200,7 +191,7 @@ class ProcessIndex(Record):
         while stack:
             text, activity, parent = stack.pop()
             rank = len(activities)
-            paths.append(ActivityPath(text))
+            paths.append(text)
             activities.append(activity)
             parents.append(parent)
             by_kind.setdefault(activity.kind, []).append(rank)
@@ -313,25 +304,25 @@ def attribute_value(target: Activity | ProcessModel, attribute: str) -> str | No
     return target.name if attribute == "name" else target.attributes.get(attribute)
 
 
-def iter_activities(process: ProcessModel) -> Iterator[tuple[ActivityPath, Activity]]:
+def iter_activities(process: ProcessModel) -> Iterator[tuple[str, Activity]]:
     """Every (path, activity) pair in depth-first pre-order, root first."""
     index = process.index
     return zip(index.paths, index.activities)
 
 
-def resolve_path(process: ProcessModel, path: ActivityPath) -> Activity:
+def resolve_path(process: ProcessModel, path: str) -> Activity:
     """Return the unique activity addressed by ``path``.
 
     Raises ValueError when the path does not resolve in this process.
     """
     index = process.index
-    # The index's paths are in order_key order, so the path can only be at its bisection point.
-    rank = bisect_left(index.paths, path.order_key, key=attrgetter("order_key"))
+    # The index's paths are in path_order, so the path can only be at its bisection point.
+    rank = bisect_left(index.paths, path_order(path), key=path_order)
     if rank == len(index.paths) or index.paths[rank] != path:
         raise ValueError(f"path {path} does not resolve in process {process.name!r}")
     return index.activities[rank]
 
 
-def find_join_points(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, Activity]]:
+def find_join_points(process: ProcessModel, config: AnalysisConfig) -> list[tuple[str, Activity]]:
     """All join-point activities in pre-order."""
     return [(path, activity) for path, activity in iter_activities(process) if activity.kind in config.join_point_kinds]

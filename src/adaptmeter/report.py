@@ -9,11 +9,10 @@ from the same MetricsResult and cannot disagree.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import _ONE_LINE
+from .model import _ONE_LINE, path_order
 
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
@@ -35,7 +34,8 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
 
 
 def _node_label(node: NodeVD, name: str | None) -> str:
-    label = "  " * (node.path.depth - 1) + node.path.rpartition("/")[2]
+    # The root's path holds two slashes; each level below it indents two spaces.
+    label = "  " * (node.path.count("/") - 2) + node.path.rpartition("/")[2]
     if name:
         label += f" '{name.translate(_ONE_LINE)}'"
     return label
@@ -119,7 +119,7 @@ def _compare_rows(left: MetricsResult, right: MetricsResult) -> list[dict]:
     left_vds, right_vds = ({node.path: node.vd for node in result.nodes if node.join_point}
                            for result in (left, right))
     rows = []
-    for path in sorted(left_vds.keys() | right_vds.keys(), key=attrgetter("order_key")):
+    for path in sorted(left_vds.keys() | right_vds.keys(), key=path_order):
         left_vd = left_vds.get(path)
         right_vd = right_vds.get(path)
         delta = right_vd - left_vd if left_vd is not None and right_vd is not None else None

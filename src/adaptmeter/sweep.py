@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .metrics import join_point_weights, variability_degree
-from .model import ADVICE_TYPES, ActivityPath, AnalysisConfig, ProcessModel, Record, _set, find_join_points
+from .model import ADVICE_TYPES, AnalysisConfig, ProcessModel, Record, _set, find_join_points
 
 
 class SweepCase(Record):
@@ -31,18 +31,18 @@ class SweepCase(Record):
 
     __slots__ = ("order", "series")
 
-    def __init__(self, order: tuple[tuple[ActivityPath, str], ...], series: tuple[Fraction, ...]) -> None:
+    def __init__(self, order: tuple[tuple[str, str], ...], series: tuple[Fraction, ...]) -> None:
         _set(self, "order", order)
         _set(self, "series", series)
 
 
-def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
+def enumerate_slots(process: ProcessModel, config: AnalysisConfig) -> list[tuple[str, str]]:
     """All slots, join points in pre-order, advice types in canonical order."""
     return [(path, advice_type) for path, _ in find_join_points(process, config) for advice_type in ADVICE_TYPES]
 
 
 def sweep_case(
-    weights: dict[ActivityPath, Fraction], order: Sequence[tuple[ActivityPath, str]], config: AnalysisConfig
+    weights: dict[str, Fraction], order: Sequence[tuple[str, str]], config: AnalysisConfig
 ) -> SweepCase:
     """Fill slots in the given order, recording PAM after each addition.
 
@@ -88,7 +88,7 @@ def run_sweep(
     slots = enumerate_slots(process, config)
     weights = join_point_weights(process, config)
     rng = random.Random(seed)
-    seen: set[tuple[tuple[ActivityPath, str], ...]] = set()
+    seen: set[tuple[tuple[str, str], ...]] = set()
     cases = []
     for _ in range(num_cases):
         # Random.shuffle is a Fisher-Yates shuffle; the orders it draws are part

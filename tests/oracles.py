@@ -30,7 +30,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.metrics import variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, ActivityPath
+from adaptmeter.model import ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, path_kind, path_order
 from adaptmeter.parsing import Aspect, Pointcut, serialize_process
 from adaptmeter.selectors import PointcutSelector, parse_selector
 
@@ -41,30 +41,34 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _PATH_STEP_RE = re.compile(r"([A-Za-z]+)\[(\d+)\]")
 
 
-def activity_path(text: str) -> ActivityPath:
-    """Parse the ``/process/sequence[0]/invoke[2]`` form that ``str(path)`` writes."""
-    path = ActivityPath(text)
-    steps_of(path)  # raises ValueError on anything else
-    return path
+def activity_path(text: str) -> str:
+    """Check the ``/process/sequence[0]/invoke[2]`` form of a path and return it."""
+    steps_of(text)  # raises ValueError on anything else
+    return text
 
 
-def steps_of(path: ActivityPath) -> tuple[tuple[str, int], ...]:
+def steps_of(path: str) -> tuple[tuple[str, int], ...]:
     """The (kind, sibling index) steps from the root that ``path`` addresses."""
-    text, prefix = str(path), "/process/"
-    if not text.startswith(prefix):
-        raise ValueError(f"activity path must start with {prefix!r}: {text!r}")
+    prefix = "/process/"
+    if not path.startswith(prefix):
+        raise ValueError(f"activity path must start with {prefix!r}: {path!r}")
     steps = []
-    for part in text[len(prefix):].split("/"):
+    for part in path[len(prefix):].split("/"):
         match = _PATH_STEP_RE.fullmatch(part)
         if match is None:
-            raise ValueError(f"bad path step {part!r} in {text!r}")
+            raise ValueError(f"bad path step {part!r} in {path!r}")
         steps.append((match.group(1), int(match.group(2))))
     return tuple(steps)
 
 
-def path_of(steps: tuple[tuple[str, int], ...]) -> ActivityPath:
+def path_of(steps: tuple[tuple[str, int], ...]) -> str:
     """The path of (kind, sibling index) steps from the root, formatted here, step by step."""
-    return ActivityPath("/process/" + "/".join(f"{kind}[{index}]" for kind, index in steps))
+    return "/process/" + "/".join(f"{kind}[{index}]" for kind, index in steps)
+
+
+def twin_of(path: str) -> str:
+    """An equal path that is another object: ``str(path)`` and ``copy`` hand back ``path`` itself."""
+    return path.encode().decode()
 
 
 def walk(process: ProcessModel):
@@ -78,7 +82,7 @@ def walk(process: ProcessModel):
     yield from visit(((process.root.kind, 0),), process.root)
 
 
-def is_ancestor_of(path: ActivityPath, other: ActivityPath) -> bool:
+def is_ancestor_of(path: str, other: str) -> bool:
     """True when ``path``'s steps are a proper prefix of ``other``'s."""
     steps, others = steps_of(path), steps_of(other)
     return len(steps) < len(others) and others[: len(steps)] == steps
@@ -124,7 +128,7 @@ def aggregate_process(
     return tuple(aggregate(process.root, ((process.root.kind, 0),), profile, config))
 
 
-def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[ActivityPath, Fraction]:
+def join_point_weights(process: ProcessModel, config: AnalysisConfig) -> dict[str, Fraction]:
     """Product of 1/n over each join point's proper ancestors."""
     nodes = dict(walk(process))
     weights = {}
@@ -145,13 +149,13 @@ def _step_holds(step: tuple[str, tuple[tuple[str, str], ...]], kind: str, name, 
     return all((name if key == "name" else attributes.get(key)) == value for key, value in predicates)
 
 
-def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
+def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[str]:
     """Proper-descendant location steps by rescanning the tree per context."""
     nodes = list(walk(process))
     # None is the document before the first step and the <process> element after it.
-    contexts: list[ActivityPath | None] = [None]
+    contexts: list[str | None] = [None]
     for position, step in enumerate(selector.steps):
-        matched: dict[ActivityPath | None, None] = {}
+        matched: dict[str | None, None] = {}
         for context in contexts:
             if context is None and position == 0 and _step_holds(step, "process", process.name, process.attributes):
                 matched.setdefault(None)
@@ -160,7 +164,7 @@ def match_selector(selector: PointcutSelector, process: ProcessModel) -> list[Ac
                 if inside and _step_holds(step, activity.kind, activity.name, activity.attributes):
                     matched.setdefault(path)
         contexts = list(matched)
-    return sorted((path for path in contexts if path is not None), key=lambda p: p.order_key)
+    return sorted((path for path in contexts if path is not None), key=path_order)
 
 
 def _elementpath_step(element: str, predicates: tuple[tuple[str, str], ...]) -> str:
@@ -176,7 +180,7 @@ def _elementpath_step(element: str, predicates: tuple[tuple[str, str], ...]) -> 
     return f".//{element}{''.join(brackets)}"
 
 
-def match_selector_elementpath(selector: PointcutSelector, process: ProcessModel) -> list[ActivityPath]:
+def match_selector_elementpath(selector: PointcutSelector, process: ProcessModel) -> list[str]:
     """The selector run by CPython's ElementPath on the process's canonical XML.
 
     Each step is a ``.//step`` search from every element the previous step
@@ -215,11 +219,11 @@ def bind_aspects(
             if not paths:
                 warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': selector matched no activities")
             for path in paths:
-                if path.kind in config.join_point_kinds:
+                if path_kind(path) in config.join_point_kinds:
                     bindings.append(JoinPointBinding(aspect.name, pointcut.name, path, aspect.advice_type))
                 else:
                     warnings.append(f"aspect '{aspect.name}' pointcut '{pointcut.name}': "
-                                    f"match at {path} is not a join point (<{path.kind}>); skipped")
+                                    f"match at {path} is not a join point (<{path_kind(path)}>); skipped")
     return tuple(bindings), tuple(warnings)
 
 

@@ -49,9 +49,13 @@ def _random_selector_text(rng: random.Random, process: ProcessModel, pool: list[
     index = process.index
     rank = rng.randrange(len(index.activities))
     chain = []
-    while rank >= 0:
+    # A node is at most len(parents) steps below the root, whose parent is -1.
+    for _ in index.parents:
         chain.append(index.activities[rank])
         rank = index.parents[rank]
+        if rank < 0:
+            break
+    assert rank == -1, f"walking up {len(index.parents)} parents ended at rank {rank}, not -1"
     chain = [process, *reversed(chain)]
     size = rng.randint(1, 3)
     if rng.random() < 0.7 and len(chain) >= size:

@@ -10,9 +10,9 @@ import pytest
 
 from adaptmeter import Activity, AnalysisConfig, BadAdviceType, ProcessModel, bind_aspects, parse_aspect
 from adaptmeter.matching import VariabilityProfile, _within, match_selector
-from adaptmeter.model import ActivityPath
+from adaptmeter.model import path_kind
 from adaptmeter.selectors import parse_selector
-from oracles import activity_path
+from oracles import activity_path, twin_of
 from randtrees import random_process
 
 FLIGHT_SELECTOR = '//process[@name="TravelBooking"]//invoke[@operation="bookFlight"]'
@@ -234,7 +234,7 @@ class TestBindAspects:
 
         expected = bind_aspects(travel_process, travel_aspects, config)
         original = matching.match_selector
-        copied = lambda selector, process: [ActivityPath(p) for p in reversed(original(selector, process))]
+        copied = lambda selector, process: [twin_of(p) for p in reversed(original(selector, process))]
         monkeypatch.setattr(matching, "match_selector", copied)
         profile = bind_aspects(travel_process, travel_aspects, config)
         assert profile == expected
@@ -266,7 +266,7 @@ class TestBindAspects:
             aspect = _aspect("Anything", "//invoke", advice_type="after")
             profile = bind_aspects(process, [aspect], config)
             for path in profile.raw_counts:
-                assert path.kind == "invoke"
+                assert path_kind(path) == "invoke"
 
 
 class TestProfileConstruction:

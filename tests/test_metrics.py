@@ -19,7 +19,6 @@ import pytest
 from adaptmeter import (
     Activity,
     AnalysisConfig,
-    NotAJoinPoint,
     ProcessModel,
     ReferenceTooSmall,
     bind_aspects,
@@ -28,7 +27,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights, linear_weight_oracle, variability_degree, variability_value
-from adaptmeter.model import ADVICE_TYPES, ActivityPath, find_join_points
+from adaptmeter.model import ADVICE_TYPES, find_join_points
 from oracles import activity_path
 from randtrees import random_process, random_profile, shuffle_with_profile
 
@@ -98,11 +97,6 @@ class TestVariabilityValue:
         assert sum(profile.raw_counts[path].values()) == 4
         assert variability_value(profile, path, config) == 3
 
-    def test_non_join_point_path_rejected(self, travel_process, config):
-        assign_path = activity_path("/process/sequence[0]/assign[1]")
-        with pytest.raises(NotAJoinPoint):
-            variability_value(VariabilityProfile(), assign_path, config)
-
 
 class TestVariabilityDegree:
     def test_reference_three_scale(self):
@@ -164,7 +158,7 @@ class TestAggregate:
             profile = random_profile(rng, process, config)
             result = process_adaptability(process, profile, config)
             # A node's children are the nodes whose path extends its own by one step.
-            children: dict[ActivityPath, list] = {node.path: [] for node in result.nodes}
+            children: dict[str, list] = {node.path: [] for node in result.nodes}
             for node in result.nodes[1:]:
                 children[node.path.rpartition("/")[0]].append(node)
             for node in result.nodes:

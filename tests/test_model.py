@@ -22,7 +22,8 @@ from adaptmeter import (
     run_sweep,
 )
 from adaptmeter.matching import match_selector
-from adaptmeter.model import STRUCTURED_KINDS, ActivityPath, ProcessIndex, find_join_points, iter_activities, resolve_path
+from adaptmeter.model import STRUCTURED_KINDS, ProcessIndex, find_join_points, iter_activities, path_kind, path_order
+from adaptmeter.model import resolve_path
 from adaptmeter.selectors import parse_selector
 from oracles import activity_path, is_ancestor_of, is_eligible_child, walk
 from randtrees import random_process
@@ -61,7 +62,7 @@ class TestIterActivities:
 
     def test_yield_order_is_preorder(self, travel_process):
         paths = [path for path, _ in iter_activities(travel_process)]
-        assert paths == sorted(paths, key=lambda p: p.order_key)
+        assert paths == sorted(paths, key=path_order)
 
 
 class TestActivityPath:
@@ -91,17 +92,17 @@ class TestActivityPath:
             resolve_path(travel_process, activity_path("/process/sequence[0]/invoke[0]"))
         # a negative sibling index is not an address, though Python would read it
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath("/process/sequence[0]/reply[-1]"))
+            resolve_path(travel_process, "/process/sequence[0]/reply[-1]")
         with pytest.raises(ValueError):
-            resolve_path(travel_process, ActivityPath(""))
+            resolve_path(travel_process, "")
 
     def test_a_path_is_its_text(self, travel_process):
         path = travel_process.index.paths[6]
-        assert isinstance(path, str) and path == "/process/sequence[0]/invoke[3]"
+        assert type(path) is str and path == "/process/sequence[0]/invoke[3]"
         assert hash(path) == hash("/process/sequence[0]/invoke[3]")
         for clone in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
             twin = clone(path)
-            assert type(twin) is ActivityPath and twin == path and twin.kind == "invoke"
+            assert type(twin) is str and twin == path and path_kind(twin) == "invoke"
 
     def test_a_path_takes_no_assignment(self, travel_process):
         path = travel_process.index.paths[6]
@@ -109,7 +110,7 @@ class TestActivityPath:
             path.kind = "reply"
         with pytest.raises(AttributeError):
             path.note = 1
-        assert path.kind == "invoke"
+        assert path_kind(path) == "invoke"
 
     def test_lookups_by_path_run_no_python_level_hash_or_eq(self, travel_process, travel_aspects, config):
         profiler = cProfile.Profile()
@@ -148,7 +149,19 @@ class TestProcessIndex:
                 assert inside == set(range(rank + 1, index.ends[rank]))
                 if rank:
                     assert is_ancestor_of(index.paths[index.parents[rank]], path)
-                    assert index.paths[index.parents[rank]].depth == path.depth - 1
+                    assert index.paths[index.parents[rank]].count("/") == path.count("/") - 1
+
+    def test_paths_are_plain_text_that_names_the_kind_and_sorts_in_preorder(self):
+        rng = random.Random(20212)
+        shuffler = random.Random(20214)
+        for _ in range(50):
+            index = random_process(rng, max_nodes=20).index
+            for path, activity in zip(index.paths, index.activities):
+                assert type(path) is str
+                assert path_kind(path) == activity.kind
+            shuffled = list(index.paths)
+            shuffler.shuffle(shuffled)
+            assert sorted(shuffled, key=path_order) == list(index.paths)
 
     def test_ranks_with_lists_the_kind_by_attribute_value(self, travel_process):
         rng = random.Random(20213)

@@ -19,7 +19,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import VariabilityProfile, match_selector
 from adaptmeter.metrics import join_point_weights, variability_value
-from adaptmeter.model import ADVICE_TYPES, ActivityPath, iter_activities
+from adaptmeter.model import ADVICE_TYPES, iter_activities
 from adaptmeter.parsing import Aspect, Pointcut
 from adaptmeter.report import _compare_rows, render_text
 from adaptmeter.selectors import PointcutSelector, parse_selector, render_selector
@@ -338,7 +338,7 @@ def test_integer_aggregation_and_shared_details_agree_with_node_by_node_oracles(
     assert raised > 0 if count_mode == "set" and reference_value < 3 else raised == 0
 
 
-def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[tuple[ActivityPath, str]]:
+def _random_order(rng: random.Random, process, config: AnalysisConfig) -> list[tuple[str, str]]:
     order = enumerate_slots(process, config)
     rng.shuffle(order)
     return order

@@ -21,12 +21,12 @@ from adaptmeter import (
     run_sweep,
 )
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
-from adaptmeter.model import ActivityPath, ProcessIndex
+from adaptmeter.model import ProcessIndex
 from adaptmeter.parsing import MAX_NESTING
 from adaptmeter.selectors import parse_selector
 from adaptmeter.sweep import SweepCase
 from conftest import FIXTURES_DIR
-from oracles import activity_path
+from oracles import activity_path, twin_of
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +64,20 @@ def test_fields_cannot_be_assigned_or_deleted(records):
 def test_equal_records_have_equal_hashes():
     path = activity_path("/process/sequence[0]/invoke[1]")
     pairs = [
-        (path, ActivityPath("/process/sequence[0]/invoke[1]")),
+        (path, twin_of(path)),
         (AnalysisConfig(join_point_kinds=["invoke"]), AnalysisConfig(join_point_kinds=frozenset({"invoke"}))),
         (parse_selector('//invoke[@operation="x"]'), parse_selector("//invoke[@operation='x']")),
-        (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", ActivityPath(path), "before")),
-        (NodeVD(path, Fraction(1, 3), 1), NodeVD(ActivityPath(path), Fraction(2, 6), 1)),
+        (JoinPointBinding("a", "p", path, "before"), JoinPointBinding("a", "p", str(path), "before")),
+        (NodeVD(path, Fraction(1, 3), 1), NodeVD(str(path), Fraction(2, 6), 1)),
         (SweepCase(((path, "after"),), (Fraction(0),)),
-         SweepCase(((ActivityPath(path), "after"),), (Fraction(0),))),
+         SweepCase(((str(path), "after"),), (Fraction(0),))),
     ]
     for left, right in pairs:
         assert left is not right
         assert left == right
         assert hash(left) == hash(right)
     assert NodeVD(path, Fraction(1, 3), 1) != NodeVD(path, Fraction(1, 3), 2)
-    assert ActivityPath(path) == path == "/process/sequence[0]/invoke[1]"
+    assert type(path) is str and path == "/process/sequence[0]/invoke[1]"
 
 
 def test_records_that_hold_attributes_declare_themselves_unhashable(travel_process):
@@ -166,7 +166,7 @@ def test_omitted_attributes_are_a_fresh_empty_dict():
 
 
 def test_node_vd_repr_keeps_the_field_form():
-    path = ActivityPath("/process/sequence[0]/invoke[2]")
+    path = "/process/sequence[0]/invoke[2]"
     node = NodeVD(path, Fraction(1, 3), vv=1)
     assert repr(node) == (
         "NodeVD(path='/process/sequence[0]/invoke[2]', vd=Fraction(1, 3), vv=1, n_used=None)"

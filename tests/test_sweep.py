@@ -21,7 +21,7 @@ from adaptmeter import (
 from adaptmeter import metrics
 from adaptmeter.matching import VariabilityProfile
 from adaptmeter.metrics import join_point_weights
-from adaptmeter.model import BASIC_KINDS
+from adaptmeter.model import BASIC_KINDS, path_order
 from adaptmeter.report import sweep_csv
 from adaptmeter.sweep import enumerate_slots, sweep_case
 from randtrees import random_process
@@ -73,7 +73,7 @@ class TestEnumerateSlots:
         # pre-order by join point, advice types in canonical order within
         assert [advice_type for _, advice_type in slots[:3]] == ["before", "around", "after"]
         paths = [path for path, _ in slots]
-        assert paths == sorted(paths, key=lambda p: p.order_key)
+        assert paths == sorted(paths, key=path_order)
 
     def test_no_join_points_no_slots(self, config):
         assert enumerate_slots(NO_JOIN_POINTS, config) == []
