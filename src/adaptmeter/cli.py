@@ -85,8 +85,13 @@ def _cmd_analyze(args) -> int:
     process = _load(Path(args.process), parse_process)
     aspects, notes = load_aspects(args.aspects)
     result = _measure(process, aspects, config)
+    del aspects  # no report reads them
     _diagnose("warning", [*notes, *result.warnings])
-    report = render_json(result) if args.format == "json" else render_text(result, process, color=_use_color())
+    if args.format == "json":
+        del process  # the JSON report reads only the result
+        report = render_json(result)
+    else:
+        report = render_text(result, process, color=_use_color())
     _write(sys.stdout, report + "\n")
     return 0
 
@@ -122,6 +127,8 @@ def _cmd_compare(args) -> int:
     )
     left = _measure(left_process, left_aspects, config)
     right = _measure(right_process, right_aspects, config)
+    # Neither report reads the inputs.
+    del left_process, right_process, left_aspects, right_aspects
     _diagnose("warning", [f"left: {message}" for message in (*left_notes, *left.warnings)]
               + [f"right: {message}" for message in (*right_notes, *right.warnings)])
     if args.format == "json":
@@ -292,19 +299,27 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> int:
-    """Process entry point: ``main()``, then freeze the heap before the interpreter exits.
+    """Process entry point: ``main()`` with the cyclic collector off, then freeze the heap.
 
     Standard output writes characters its encoding lacks as backslash
-    escapes, as Python already does on standard error. Freezing moves every
-    live object to the permanent generation, so the collections run at
-    interpreter exit have nothing to traverse; atexit handlers and the
-    flushing of standard output and error still run. In-process callers use
-    ``main()``, which leaves the streams and the collector alone.
+    escapes, as Python already does on standard error. A command makes no
+    cycles that grow with its input, so the collector stays off while it
+    runs. Freezing then moves every live object to the permanent
+    generation, so the collections run at interpreter exit have nothing to
+    traverse, and the collector is put back as it was; atexit handlers and
+    the flushing of standard output and error still run. In-process
+    callers use ``main()``, which leaves the streams and the collector alone.
     """
     if sys.stdout is not None:
         sys.stdout.reconfigure(errors="backslashreplace")
-    status = main()
-    gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        status = main()
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
     return status
 
 

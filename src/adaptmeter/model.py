@@ -47,7 +47,8 @@ DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
 # and diagnostics spell them as escapes through this str.translate table,
 # so each row and each message stays on one line, also for readers that
 # split lines as str.splitlines does, and no name sends a control
-# sequence to a terminal.
+# sequence to a terminal. Every character it escapes is unprintable, so a
+# text for which str.isprintable holds passes through it unchanged.
 _ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t", "\u2028": "\\u2028", "\u2029": "\\u2029",
                            **{chr(code): f"\\x{code:x}" for code in range(0x80, 0xA0)}})
 

@@ -103,8 +103,12 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         if skip:
             skip += 1
             return
-        tag = tag.rpartition(":")[2]
-        if attrs:
+        # Only a prefixed name needs its prefix cut. expat hands each element
+        # a fresh dict, which already holds only local names unless some
+        # name has a prefix or is a bare xmlns.
+        if ":" in tag:
+            tag = tag.rpartition(":")[2]
+        if attrs and (":" in "".join(attrs) or "xmlns" in attrs):
             attrs = {key.rpartition(":")[2]: value for key, value in attrs.items()
                      if key != "xmlns" and not key.startswith("xmlns:")}
         parent = stack[-1]
@@ -243,7 +247,13 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         parser.StartDoctypeDeclHandler = parser.StartElementHandler = None
         parser.EndElementHandler = parser.CharacterDataHandler = None
     if error is not None:
-        raise error
+        try:
+            raise error
+        finally:
+            # The error's traceback holds the handlers' frames and this one,
+            # and through them the variable that holds the error: a cycle
+            # that would keep the whole tree read so far alive.
+            error = None
     return result
 
 

@@ -33,14 +33,6 @@ def format_vd(value: Fraction, signed: bool = False) -> str:
     return text
 
 
-def _node_label(node: NodeVD, name: str | None) -> str:
-    # The root's path holds two slashes; each level below it indents two spaces.
-    label = "  " * (node.path.count("/") - 2) + node.path.rpartition("/")[2]
-    if name:
-        label += f" '{name.translate(_ONE_LINE)}'"
-    return label
-
-
 def _node_detail(node: NodeVD) -> str:
     detail = f"vd={format_vd(node.vd)}"
     if node.join_point:
@@ -70,7 +62,12 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
         detail = details.get(key)
         if detail is None:
             detail = details[key] = _node_detail(node)
-        labels.append(_node_label(node, activity.name))
+        # The root's path holds two slashes; each level below it indents two spaces.
+        label = "  " * (node.path.count("/") - 2) + node.path.rpartition("/")[2]
+        name = activity.name
+        if name:
+            label += f" '{name if name.isprintable() else name.translate(_ONE_LINE)}'"
+        labels.append(label)
         rows.append(detail)
     width = max(map(len, labels)) + 2
     lines += [f"{label:<{width}}{detail}" for label, detail in zip(labels, rows)]

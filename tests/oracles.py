@@ -374,6 +374,15 @@ def _local(name: str) -> str:
     return name.rpartition(":")[2]
 
 
+def local_attributes(attrs: dict[str, str]) -> dict[str, str]:
+    """An element's attributes keyed by local name, namespace declarations dropped.
+
+    Every key is rewritten, whatever it holds; where two prefixed names
+    share a local name, the later one wins.
+    """
+    return {_local(key): value for key, value in attrs.items() if key != "xmlns" and not key.startswith("xmlns:")}
+
+
 def _load_xml(text: str) -> _XmlNode:
     """Parse XML text into a namespace-stripped node tree with line numbers."""
     parser = expat.ParserCreate()
@@ -381,12 +390,7 @@ def _load_xml(text: str) -> _XmlNode:
     stack: list[_XmlNode] = []
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        cleaned = {
-            _local(key): value
-            for key, value in attrs.items()
-            if key != "xmlns" and not key.startswith("xmlns:")
-        }
-        node = _XmlNode(_local(tag), cleaned, parser.CurrentLineNumber)
+        node = _XmlNode(_local(tag), local_attributes(attrs), parser.CurrentLineNumber)
         if stack:
             stack[-1].children.append(node)
         else:

@@ -495,6 +495,49 @@ class TestCompareCommand:
         assert "/process/sequence[0]/switch[2]/invoke[0]" in out
 
 
+@pytest.mark.parametrize("argv, renderer, kept", [
+    (["analyze", TRAVEL, "--aspects", ASPECTS_DIR], "render_text", {"ProcessModel"}),
+    (["analyze", TRAVEL, "--aspects", ASPECTS_DIR, "--format", "json"], "render_json", set()),
+    (["compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR, "--aspects2", VERIFY], "render_compare_text", set()),
+    (["compare", TRAVEL, LINEAR, "--aspects", ASPECTS_DIR, "--aspects2", VERIFY, "--format", "json"],
+     "render_compare_json", set()),
+], ids=["analyze-text", "analyze-json", "compare-text", "compare-json"])
+def test_inputs_a_report_does_not_read_are_freed_before_it_renders(monkeypatch, capsys, argv, renderer, kept):
+    # The text report reads the process's activity names; no other report
+    # reads a process, and none reads the aspects.
+    import adaptmeter.cli
+    import adaptmeter.report
+    from adaptmeter import ProcessModel, parse_process
+    from adaptmeter.parsing import Aspect
+
+    inputs: set[int] = set()  # the ids of the parsed inputs, so that no reference keeps them alive
+    live: list[str] = []
+
+    def parsing(text):
+        process = parse_process(text)
+        inputs.add(id(process))
+        return process
+
+    def loading(paths):
+        aspects, notes = load_aspects(paths)
+        inputs.update(map(id, aspects))
+        return aspects, notes
+
+    def rendering(*args, **kwargs):
+        live.extend(type(obj).__name__ for obj in gc.get_objects()
+                    if id(obj) in inputs and isinstance(obj, (Aspect, ProcessModel)))
+        return render(*args, **kwargs)
+
+    render = getattr(adaptmeter.report, renderer)
+    monkeypatch.setattr(adaptmeter.cli, "parse_process", parsing)
+    monkeypatch.setattr(adaptmeter.cli, "load_aspects", loading)
+    monkeypatch.setattr(adaptmeter.report, renderer, rendering)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert inputs
+    assert set(live) == kept
+
+
 class TestClosedStdout:
     """A reader that stops early (``| head -c 10``) ends the report silently, with status 0."""
 
@@ -710,6 +753,22 @@ class TestStartup:
         assert status == "0"
         assert int(frozen) > 0
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_process_entry_runs_the_command_without_the_collector(self, enabled):
+        # A gc callback counts the collections that start while run() runs
+        # the command; afterwards the collector is on or off as before.
+        code = (
+            "import gc, sys\n"
+            "from adaptmeter.cli import run\n"
+            f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            f"sys.argv = ['adapt-meter', 'analyze', {TRAVEL!r}, '--aspects', {ASPECTS_DIR!r}]\n"
+            "status = run()\n"
+            "sys.stderr.write(f'{status} {len(starts)} {gc.isenabled()}')\n"
+        )
+        assert _python("-c", code).stderr.split() == ["0", "0", str(enabled)]
+
     @pytest.mark.parametrize(
         "argv, status",
         [(["analyze", TRAVEL], 0), (["analyze", VERIFY], 1), (["analyze", str(FIXTURES_DIR / "missing.bpel")], 2)],
@@ -725,6 +784,17 @@ class TestStartup:
         assert code == 0
         assert "PAM = 0.2917 (7/24)" in out
         assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_in_process_main_leaves_the_collector_alone(self, capsys, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run_cli(capsys, "analyze", TRAVEL, "--aspects", ASPECTS_DIR)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == 0
 
 
 class _RecordingStream(io.StringIO):
@@ -878,6 +948,12 @@ class TestLineBreaksInNames:
             r"  invoke[1] 'c\x9fd'  vd=0.0000  vv=0 *",
         ]
         assert err == "warning: aspect 'A\\x9bX' pointcut 'p\\x90c': selector matched no activities\n"
+
+    def test_every_escaped_character_is_unprintable(self):
+        # The text report passes a printable name by without translating it.
+        from adaptmeter.model import _ONE_LINE
+
+        assert not any(chr(code).isprintable() for code in _ONE_LINE)
 
     def test_json_keeps_the_names_as_they_are(self, tmp_path, capsys):
         process, aspect = self._files(tmp_path)

@@ -7,7 +7,8 @@ consecutive sizes. Both measures are the same on every run, so timing
 noise cannot move them. Only ratios are asserted: absolute counts differ
 across Python versions (PEP 709 inlines comprehensions from 3.12 on).
 A linear cost grows at most ×2 per doubling; GROWTH leaves a little room
-for costs such as sorting that grow slightly faster.
+for costs such as sorting that grow slightly faster. The cyclic garbage a
+command leaves must not grow with its input at all.
 
 Left out, for now:
 - Memory on deep chains: the index holds each node's whole path text.
@@ -23,6 +24,7 @@ import io
 import pstats
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,38 @@ def test_deep_chains(command, tmp_path):
     # Each path is printed once per report, from text the index built once.
     calls, _ = zip(*(_costs(DEEP_COMMANDS[command](*chain)) for chain in _chains(tmp_path)))
     _assert_linear("calls", calls)
+
+
+GC_COMMANDS = {
+    "analyze-text": lambda wide, broken: (0, ["analyze", wide[0], "--aspects", wide[1]]),
+    "analyze-json": lambda wide, broken: (0, ["analyze", wide[0], "--aspects", wide[1], "--format", "json"]),
+    "compare": lambda wide, broken: (0, ["compare", wide[0], wide[0], "--aspects", wide[1]]),
+    "sweep-cases": lambda wide, broken: (0, ["sweep", wide[0], "--cases", "100"]),
+    "sweep-exhaustive": lambda wide, broken: (0, ["sweep", wide[0], "--exhaustive"]),
+    "parse-error": lambda wide, broken: (1, ["analyze", broken, "--aspects", wide[1]]),
+    "reference-too-small": lambda wide, broken: (1, ["analyze", wide[0], "--aspects", wide[1],
+                                                     "--reference-value", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", GC_COMMANDS)
+def test_cyclic_garbage_does_not_grow_with_the_input(command, gen, tmp_path):
+    # `cli.run` keeps the cyclic collector off for a command. That holds
+    # memory flat only if what a command leaves for the collector does not
+    # grow with its input: the same count at 4 and 16 switches.
+    found = []
+    for switches in (4, 16):
+        wide = _wide(gen, tmp_path, switches)
+        broken = tmp_path / f"broken{switches}.bpel"
+        text = Path(wide[0]).read_text(encoding="utf-8")
+        broken.write_text(text.replace("</process>", "<bogus/></process>"), encoding="utf-8")
+        status, args = GC_COMMANDS[command](wide, str(broken))
+        assert _run(args) == status  # the first call also pays for lazy imports
+        gc.disable()
+        try:
+            gc.collect()
+            assert _run(args) == status
+            found.append(gc.collect())
+        finally:
+            gc.enable()
+    assert found[0] == found[1]

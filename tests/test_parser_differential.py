@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from adaptmeter import AdaptMeterError, parse_aspect, parse_process
-from oracles import parse_aspect_two_pass, parse_process_two_pass
+from oracles import local_attributes, parse_aspect_two_pass, parse_process_two_pass
 
 DOCUMENTS = 5000
 BASIC = ("receive", "invoke", "reply", "assign")
@@ -152,3 +155,42 @@ def test_process_documents_match_the_two_pass_reader():
 
 def test_aspect_documents_match_the_two_pass_reader():
     assert _differ("aspect", 8102, parse_aspect, parse_aspect_two_pass)[:3] == []
+
+
+# Attribute names of every form the parser meets: plain ones (xmlnsx only
+# starts like a declaration), prefixed ones, namespace declarations and a
+# name with two colons. Prefixed names can strip to the same local name.
+LOCAL_NAMES = ("name", "operation", "enabled", "type", "xmlnsx")
+ATTRIBUTE_NAMES = st.one_of(
+    st.sampled_from(LOCAL_NAMES),
+    st.builds("{}:{}".format, st.sampled_from(("p", "q", "bpel", "xmlns")), st.sampled_from(LOCAL_NAMES)),
+    st.sampled_from(("xmlns", "a:b:c", "a:b:name")),
+)
+ATTRIBUTE_SETS = st.dictionaries(ATTRIBUTE_NAMES, st.sampled_from(("", "a", "before", "false", "maybe", 'x & "y" <z>')),
+                                 max_size=5)
+
+
+def _attribute_text(attrs: dict[str, str]) -> str:
+    escape = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;"})
+    return "".join(f' {key}="{value.translate(escape)}"' for key, value in attrs.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ATTRIBUTE_SETS)
+def test_attribute_sets_read_as_the_full_rewrite_reads_them(attrs):
+    # The parser rewrites an element's attribute names only where some name
+    # has a prefix or is xmlns. Every set must read as rewriting every name
+    # reads it: the same activities, names, attributes and errors.
+    text = _attribute_text(attrs)
+    expected = local_attributes(attrs)
+    name = expected.pop("name", None)
+    process = parse_process(f'<process name="P"><sequence{text}><invoke{text}/></sequence></process>')
+    for activity in (process.root, process.root.children[0]):
+        assert (activity.name, dict(activity.attributes)) == (name, expected)
+    for document, parse, two_pass in (
+        (f"<process{text}><sequence><invoke/></sequence></process>", parse_process, parse_process_two_pass),
+        (f'<aspect{text}><pointcut>//invoke</pointcut><advice{text}><invoke/></advice></aspect>',
+         parse_aspect, parse_aspect_two_pass),
+    ):
+        assert outcome(parse, document) == outcome(two_pass, document)
