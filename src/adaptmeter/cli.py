@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import AdaptMeterError, ConfigError
-from .model import _ONE_LINE, AnalysisConfig
+from .model import AnalysisConfig, one_line
 from .parsing import _load, load_aspects, parse_process
 
 # Each subcommand imports the layers it runs inside its own function, so
@@ -67,7 +67,7 @@ def _write(stream, text: str) -> None:
 
 def _diagnose(label: str, messages) -> None:
     """Write each message to standard error as one ``label: message`` line."""
-    _write(sys.stderr, "".join(f"{label}: {message.translate(_ONE_LINE)}\n" for message in messages))
+    _write(sys.stderr, "".join(f"{label}: {one_line(message)}\n" for message in messages))
 
 
 def _measure(process, aspects, config: AnalysisConfig):

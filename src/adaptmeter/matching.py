@@ -14,8 +14,7 @@ from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import BadAdviceType
-from .model import ADVICE_TYPES, Activity, AnalysisConfig, ProcessModel, Record, _set, attribute_value, path_kind
+from .model import Activity, AnalysisConfig, ProcessModel, Record, _set, attribute_value, check_advice_type, path_kind
 
 if TYPE_CHECKING:
     from .parsing import Aspect
@@ -28,8 +27,7 @@ class JoinPointBinding(Record):
     __slots__ = ("aspect_name", "pointcut_name", "path", "advice_type")
 
     def __init__(self, aspect_name: str, pointcut_name: str, path: str, advice_type: str) -> None:
-        if advice_type not in ADVICE_TYPES:
-            raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}")
+        check_advice_type(advice_type)
         _set(self, "aspect_name", aspect_name)
         _set(self, "pointcut_name", pointcut_name)
         _set(self, "path", path)

@@ -11,6 +11,11 @@ paths in the tree's order. The model keeps only what the metric and the
 selectors read: the XML syntax around the tree (branch wrappers,
 declaration sections) is checked by the parser, not kept.
 
+Two rules that more than one layer applies live here once:
+`check_advice_type`, which the parser and `JoinPointBinding` call, and
+`one_line`, the escape that keeps a name or a message on one line of
+text output.
+
 Every record of the package is an immutable slotted value object (see
 `Record`), and a path is an immutable string, so the model is safe to
 share across threads. Each process builds one pre-order `ProcessIndex`
@@ -26,7 +31,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import ConfigError, StructuralError
+from .errors import BadAdviceType, ConfigError, StructuralError
 
 BASIC_KINDS = frozenset({"receive", "invoke", "reply", "assign"})
 STRUCTURED_KINDS = frozenset({"sequence", "switch", "pick", "flow", "while"})
@@ -44,13 +49,25 @@ DEFAULT_JOIN_POINT_KINDS = frozenset({"invoke", "receive", "reply"})
 
 # XML character references let a name hold a line break, a tab or a C1
 # control (U+0080-U+009F; U+009B is CSI on some terminals). Text output
-# and diagnostics spell them as escapes through this str.translate table,
-# so each row and each message stays on one line, also for readers that
-# split lines as str.splitlines does, and no name sends a control
-# sequence to a terminal. Every character it escapes is unprintable, so a
-# text for which str.isprintable holds passes through it unchanged.
+# and diagnostics spell them as escapes through `one_line`, so each row
+# and each message stays on one line, also for readers that split lines
+# as str.splitlines does, and no name sends a control sequence to a
+# terminal. Every character this table escapes is unprintable.
 _ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t", "\u2028": "\\u2028", "\u2029": "\\u2029",
                            **{chr(code): f"\\x{code:x}" for code in range(0x80, 0xA0)}})
+
+
+def one_line(text: str) -> str:
+    """``text`` with every line break and C1 control escaped, for one line of text output."""
+    # str.translate takes a slow per-character path for this table, and a
+    # printable text has nothing in it to escape.
+    return text if text.isprintable() else text.translate(_ONE_LINE)
+
+
+def check_advice_type(advice_type: str) -> None:
+    """Raise BadAdviceType unless ``advice_type`` is one of `ADVICE_TYPES`."""
+    if advice_type not in ADVICE_TYPES:
+        raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, got {advice_type!r}")
 
 
 # Sets a record field from ``__init__``, past Record.__setattr__.

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable
 from xml.parsers import expat
 
-from .errors import AdaptMeterError, BadAdviceType, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError
-from .errors import UnsupportedElement
-from .model import ACTIVITY_KINDS, ADVICE_TYPES, BASIC_KINDS, STRUCTURED_KINDS, Activity, ProcessModel, Record, _set
+from .errors import AdaptMeterError, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError, UnsupportedElement
+from .model import ACTIVITY_KINDS, BASIC_KINDS, STRUCTURED_KINDS, Activity, ProcessModel, Record, _set
+from .model import check_advice_type
 
 if TYPE_CHECKING:
     import os
@@ -79,7 +79,11 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
     a start tag when it opens, and an element's counts when it closes. Each
     activity is built when its element closes. The first broken rule read
     is the one reported. Malformed XML outranks it, so after it expat still
-    reads the rest of the document, with no handlers.
+    reads the rest of the document, with no handlers. Each handler hands
+    its error to ``fail`` with the line that locates it: ``start`` the
+    start tag's, ``end`` the line where the closing element opened. Only a
+    basic root activity is located at its own line instead. The advice
+    type is checked by `model.check_advice_type`, as a binding's is.
 
     Returns the ProcessModel or Aspect, or None for a document whose root
     is not ``root_tag`` when ``other_roots`` is set.
@@ -92,9 +96,12 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
     error: AdaptMeterError | None = None
     result = None
 
-    def fail(exc: AdaptMeterError) -> None:
-        # With no handlers, expat only checks the rest is well-formed XML.
+    def fail(exc: AdaptMeterError, line: int) -> None:
+        # An error with no line of its own is located at ``line``. With no
+        # handlers, expat only checks the rest is well-formed XML.
         nonlocal error
+        if exc.line is None:
+            exc.line = line
         error = exc
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
@@ -115,10 +122,10 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         role = parent[_ROLE]
         try:
             if len(stack) > MAX_NESTING:  # the stack holds the document and every open element
-                raise StructuralError(f"nesting deeper than {MAX_NESTING}", line=parser.CurrentLineNumber)
+                raise StructuralError(f"nesting deeper than {MAX_NESTING}")
             if role == _ROOT and tag not in _SECTIONS:
                 if tag not in ACTIVITY_KINDS:
-                    raise UnsupportedElement(f"unsupported element <{tag}> in <process>", line=parser.CurrentLineNumber)
+                    raise UnsupportedElement(f"unsupported element <{tag}> in <process>")
                 parent[_MORE].append(parser.CurrentLineNumber)
             elif role >= _ROOT:
                 line = parser.CurrentLineNumber
@@ -130,39 +137,36 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                     parser.CharacterDataHandler = stack[-1][_KIDS].append
                 elif role == _ASPECT:
                     if tag != "advice":
-                        raise UnsupportedElement(f"unsupported element <{tag}> in <aspect>", line=line)
-                    if attrs.get("type", "") not in ADVICE_TYPES:
-                        raise BadAdviceType(f"advice type must be one of {', '.join(ADVICE_TYPES)}, "
-                                            f"got {attrs.get('type', '')!r}", line=line)
+                        raise UnsupportedElement(f"unsupported element <{tag}> in <aspect>")
+                    check_advice_type(attrs.get("type", ""))
                     stack.append([_WRAPPER, tag, line, None, attrs, [], None])
                 elif role == _BRANCHING:
                     allowed = BRANCH_ELEMENTS[parent[_TAG]]
                     if tag not in allowed:
                         raise UnsupportedElement(f"<{parent[_TAG]}> branches must be "
-                                                 f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>", line=line)
+                                                 f"{' or '.join(f'<{a}>' for a in allowed)}, got <{tag}>")
                     stack.append([_WRAPPER, tag, line, None, None, [], None])
                 elif role == _SECTION:
                     if tag != _SECTIONS[parent[_TAG]]:
-                        raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[_TAG]}>", line=line)
+                        raise UnsupportedElement(f"unsupported element <{tag}> in <{parent[_TAG]}>")
                     skip = 1
                 elif role == _POINTCUT:
                     parser.CharacterDataHandler = None
                     skip = 1
                 elif tag != root_tag:
                     if not other_roots:
-                        raise StructuralError(f"expected <{root_tag}> document root, got <{tag}>", line=line)
+                        raise StructuralError(f"expected <{root_tag}> document root, got <{tag}>")
                     parser.StartElementHandler = parser.EndElementHandler = None
                 else:
                     name = attrs.pop("name", "")
                     if not name:
-                        raise StructuralError(f"<{tag}> requires a non-empty name attribute", line=line)
+                        raise StructuralError(f"<{tag}> requires a non-empty name attribute")
                     if tag == "process":
                         stack.append([_ROOT, tag, line, name, attrs, [], []])
                     else:
                         enabled = _ENABLED.get(attrs.get("enabled", "true").strip().lower())
                         if enabled is None:
-                            raise StructuralError(f"bad enabled value {attrs['enabled']!r} (expected true/false)",
-                                                  line=line)
+                            raise StructuralError(f"bad enabled value {attrs['enabled']!r} (expected true/false)")
                         stack.append([_ASPECT, tag, line, name, enabled, [], []])
                 return
             # an activity, in a structured activity, a wrapper or the process
@@ -173,9 +177,9 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 role = _BRANCHING if tag in BRANCH_ELEMENTS else _ACTIVITY
                 stack.append([role, tag, parser.CurrentLineNumber, attrs.pop("name", None), attrs, [], []])
             else:
-                raise UnsupportedElement(f"<{tag}> is not a supported activity", line=parser.CurrentLineNumber)
+                raise UnsupportedElement(f"<{tag}> is not a supported activity")
         except AdaptMeterError as exc:
-            fail(exc)
+            fail(exc, parser.CurrentLineNumber)
 
     def end(tag: str) -> None:
         nonlocal skip, result
@@ -189,16 +193,11 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
         try:
             if role == _ACTIVITY or role == _BRANCHING:
                 if more.count("otherwise") > 1:
-                    raise StructuralError("<switch> allows at most one <otherwise> branch", line=line)
-                try:
-                    activity = Activity(tag, name, attributes, tuple(children))
-                except StructuralError as exc:
-                    exc.line = line
-                    raise
-                parent[_KIDS].append(activity)
+                    raise StructuralError("<switch> allows at most one <otherwise> branch")
+                parent[_KIDS].append(Activity(tag, name, attributes, tuple(children)))
             elif role == _WRAPPER:
                 if len(children) != 1:
-                    raise StructuralError(f"<{tag}> must wrap exactly one activity, found {len(children)}", line=line)
+                    raise StructuralError(f"<{tag}> must wrap exactly one activity, found {len(children)}")
                 if parent[_ROLE] == _BRANCHING:
                     parent[_MORE].append(tag)
                     parent[_KIDS].append(children[0])
@@ -209,11 +208,10 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                 try:
                     parent[_KIDS].append(Pointcut(name, parse_selector("".join(children))))
                 except SelectorSyntax as exc:
-                    raise SelectorSyntax(f"pointcut '{name}': {exc}", line=line) from exc
+                    raise SelectorSyntax(f"pointcut '{name}': {exc}") from exc
             elif role == _ROOT:
                 if len(children) != 1:
-                    raise StructuralError(f"<process> must contain exactly one root activity, found {len(children)}",
-                                          line=line)
+                    raise StructuralError(f"<process> must contain exactly one root activity, found {len(children)}")
                 try:
                     result = ProcessModel(name, children[0], attributes)
                 except StructuralError as exc:  # a basic root activity
@@ -221,13 +219,12 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
                     raise
             elif role == _ASPECT:
                 if not children:
-                    raise MissingPointcut(f"aspect '{name}' declares no pointcut", line=line)
+                    raise MissingPointcut(f"aspect '{name}' declares no pointcut")
                 if len(more) != 1:
-                    raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(more)}",
-                                          line=line)
+                    raise StructuralError(f"aspect '{name}' must declare exactly one advice, found {len(more)}")
                 result = Aspect(name, tuple(children), more[0], attributes)  # the enabled flag
         except AdaptMeterError as exc:
-            fail(exc)
+            fail(exc, line)
 
     def doctype(*_) -> None:
         # The grammar needs no DTD; refusing one also refuses entity declarations.

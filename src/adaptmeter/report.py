@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import _ONE_LINE, path_order
+from .model import one_line, path_order
 
 if TYPE_CHECKING:
     from .metrics import MetricsResult, NodeVD
@@ -46,7 +46,7 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
     """Human-readable report of a result computed on ``process``; ends with the PAM line."""
     config = result.config_used
     lines = [
-        f"process: {result.process_name}".translate(_ONE_LINE),
+        one_line(f"process: {result.process_name}"),
         f"reference value (R): {config.reference_value}",
         f"join-point kinds: {', '.join(sorted(config.join_point_kinds))}",
         f"count mode: {config.count_mode}",
@@ -66,7 +66,7 @@ def render_text(result: MetricsResult, process: ProcessModel, color: bool = Fals
         label = "  " * (node.path.count("/") - 2) + node.path.rpartition("/")[2]
         name = activity.name
         if name:
-            label += f" '{name if name.isprintable() else name.translate(_ONE_LINE)}'"
+            label += f" '{one_line(name)}'"
         labels.append(label)
         rows.append(detail)
     width = max(map(len, labels)) + 2
@@ -138,8 +138,8 @@ def render_compare_text(
 ) -> str:
     delta = right.pam - left.pam
     lines = [
-        f"left:  {left.process_name}  PAM = {format_vd(left.pam)}  [{left_source}]".translate(_ONE_LINE),
-        f"right: {right.process_name}  PAM = {format_vd(right.pam)}  [{right_source}]".translate(_ONE_LINE),
+        one_line(f"left:  {left.process_name}  PAM = {format_vd(left.pam)}  [{left_source}]"),
+        one_line(f"right: {right.process_name}  PAM = {format_vd(right.pam)}  [{right_source}]"),
     ]
     delta_line = f"delta (right - left) = {format_vd(delta, signed=True)}"
     if color:

@@ -138,14 +138,25 @@ def outcome(parse, text: str):
         return type(exc), str(exc), exc.line
 
 
-def _differ(kind: str, seed: int, streaming, two_pass) -> list[str]:
+def _shown(result):
+    """An outcome as a failure report shows it: an error's class by its name."""
+    return (result[0].__name__, *result[1:]) if isinstance(result, tuple) else result
+
+
+def _differ(kind: str, seed: int, streaming, two_pass) -> list[dict]:
+    """Each document whose outcomes differ, between what each reader gave for it.
+
+    A shortened failure report cuts the middle of an item, which here is the
+    document's text, so both outcomes stay in view: class, message and line.
+    """
     writer = Writer(random.Random(seed))
     write = writer.process if kind == "process" else writer.aspect
     mismatches = []
     for _ in range(DOCUMENTS):
         text = write()
-        if outcome(streaming, text) != outcome(two_pass, text):
-            mismatches.append(text)
+        ours, theirs = outcome(streaming, text), outcome(two_pass, text)
+        if ours != theirs:
+            mismatches.append({"streaming": _shown(ours), "text": text, "two-pass": _shown(theirs)})
     return mismatches
 
 

@@ -22,7 +22,8 @@ from adaptmeter import (
     parse_aspect,
     parse_process,
 )
-from adaptmeter.parsing import MAX_NESTING, serialize_process
+from adaptmeter.model import BRANCHING_KINDS
+from adaptmeter.parsing import BRANCH_ELEMENTS, MAX_NESTING, serialize_process
 from conftest import FIXTURES_DIR
 from randtrees import random_process
 
@@ -549,3 +550,45 @@ def test_a_failing_parse_leaves_no_cyclic_garbage(parse, text):
     finally:
         gc.enable()
     assert found == 0
+
+
+# Documents that break a rule checked when an element closes, whose closing
+# tag is lines below its opening tag. The error names the opening line.
+_HEAD = '<?xml version="1.0"?>\n'
+_ADVICE = '<advice type="before">\n<invoke/>\n</advice>\n'
+CLOSE_TIME_RULES = {
+    "root-count": (parse_process, f'{_HEAD}<process name="P">\n<sequence/>\n<flow/>\n</process>',
+                   StructuralError, "<process> must contain exactly one root activity, found 2", 2),
+    "no-root": (parse_process, f'{_HEAD}<process name="P">\n<variables/>\n</process>',
+                StructuralError, "<process> must contain exactly one root activity, found 0", 2),
+    "wrap-count": (parse_process,
+                   f'{_HEAD}<process name="P">\n<switch>\n<case>\n<invoke/>\n<reply/>\n</case>\n</switch>\n</process>',
+                   StructuralError, "<case> must wrap exactly one activity, found 2", 4),
+    "second-otherwise": (parse_process,
+                         f'{_HEAD}<process name="P">\n<switch name="s">\n<otherwise>\n<invoke/>\n</otherwise>\n'
+                         '<otherwise>\n<reply/>\n</otherwise>\n</switch>\n</process>',
+                         StructuralError, "<switch> allows at most one <otherwise> branch", 3),
+    "no-pointcut": (parse_aspect, f'{_HEAD}<aspect name="A">\n{_ADVICE}</aspect>',
+                    MissingPointcut, "aspect 'A' declares no pointcut", 2),
+    "advice-count": (parse_aspect,
+                     f'{_HEAD}<aspect name="A">\n<pointcut>//invoke</pointcut>\n{_ADVICE}{_ADVICE}</aspect>',
+                     StructuralError, "aspect 'A' must declare exactly one advice, found 2", 2),
+    "no-advice": (parse_aspect, f'{_HEAD}<aspect name="A">\n<pointcut>//invoke</pointcut>\n</aspect>',
+                  StructuralError, "aspect 'A' must declare exactly one advice, found 0", 2),
+    "selector": (parse_aspect,
+                 f'{_HEAD}<aspect name="A">\n{_ADVICE}<pointcut name="bad">\n//invoke[position()=1]\n'
+                 '</pointcut>\n</aspect>',
+                 SelectorSyntax, "pointcut 'bad': only attribute-equality predicates are supported, "
+                 "at position 10 in '\\n//invoke[position()=1]\\n'", 6),
+}
+
+
+@pytest.mark.parametrize("parse, text, kind, message, line", CLOSE_TIME_RULES.values(), ids=CLOSE_TIME_RULES)
+def test_a_close_time_rule_names_the_opening_line(parse, text, kind, message, line):
+    with pytest.raises(kind) as info:
+        parse(text)
+    assert (type(info.value), str(info.value), info.value.line) == (kind, message, line)
+
+
+def test_the_branch_wrappers_cover_exactly_the_branching_kinds():
+    assert BRANCH_ELEMENTS.keys() == BRANCHING_KINDS

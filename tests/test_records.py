@@ -22,7 +22,7 @@ from adaptmeter import (
 )
 from adaptmeter.matching import JoinPointBinding, VariabilityProfile
 from adaptmeter.model import ProcessIndex
-from adaptmeter.parsing import MAX_NESTING
+from adaptmeter.parsing import MAX_NESTING, Aspect, Pointcut
 from adaptmeter.selectors import parse_selector
 from adaptmeter.sweep import SweepCase
 from conftest import FIXTURES_DIR
@@ -185,3 +185,22 @@ def test_results_of_the_deepest_process_do_not_recurse():
     assert repr(result).startswith("MetricsResult(process_name='deep', nodes=(NodeVD(path='/process/")
     assert pickle.loads(pickle.dumps(result)) == result
     assert copy.deepcopy(result) == result
+
+
+def test_records_of_another_class_are_never_equal():
+    # Equal field values do not make records of two classes, or a record and
+    # the plain value of its fields, equal: each side's __eq__ declines.
+    selector = parse_selector("//invoke")
+    pairs = [
+        (Pointcut("a", "b"), SweepCase("a", "b")),
+        (VariabilityProfile(), SweepCase((), ())),
+        (JoinPointBinding("a", "p", "/process/sequence[0]", "before"),
+         Aspect("a", "p", "/process/sequence[0]", "before")),
+        (Pointcut("a", "b"), ("a", "b")),
+        (selector, selector.steps),
+    ]
+    for left, right in pairs:
+        assert left._key(left) == (right._key(right) if hasattr(right, "_key") else right)
+        assert left.__eq__(right) is NotImplemented
+        assert left != right and right != left
+        assert not left == right and not right == left
