@@ -26,10 +26,9 @@ instead of walking the tree.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadAdviceType, ConfigError, StructuralError
 
@@ -137,7 +136,9 @@ class Activity(Record):
     ``"name"`` key there raises StructuralError. A switch's or pick's
     children are its branches; the <case>/<otherwise> or
     <onMessage>/<onAlarm> elements that wrap them in XML are not kept.
-    An activity has no hash (see `Record`).
+    ``children`` is kept as a tuple of the activities given, so changing
+    the caller's container later changes no tree; a child that is not an
+    Activity raises StructuralError. An activity has no hash (see `Record`).
     """
 
     __slots__ = ("kind", "name", "attributes", "children")
@@ -148,10 +149,14 @@ class Activity(Record):
         kind: str,
         name: str | None = None,
         attributes: Mapping[str, str] | None = None,
-        children: tuple[Activity, ...] = (),
+        children: Iterable[Activity] = (),
     ) -> None:
         if kind not in ACTIVITY_KINDS:
             raise StructuralError(f"unknown activity kind <{kind}>")
+        children = tuple(children)
+        for child in children:
+            if not isinstance(child, Activity):
+                raise StructuralError(f"<{kind}> children must be activities, got {type(child).__name__}")
         if kind in BASIC_KINDS and children:
             raise StructuralError(f"basic activity <{kind}> cannot have children")
         if kind in BRANCHING_KINDS and not children:
@@ -262,6 +267,8 @@ class ProcessModel(Record):
     def __init__(self, name: str, root: Activity, attributes: Mapping[str, str] | None = None) -> None:
         if not name:
             raise StructuralError("process requires a non-empty name")
+        if not isinstance(root, Activity):
+            raise StructuralError(f"process root must be an Activity, got {type(root).__name__}")
         if root.kind not in STRUCTURED_KINDS:
             raise StructuralError(f"process root activity must be structured, got <{root.kind}>")
         _set(self, "name", name)
@@ -334,11 +341,10 @@ def resolve_path(process: ProcessModel, path: str) -> Activity:
     Raises ValueError when the path does not resolve in this process.
     """
     index = process.index
-    # The index's paths are in path_order, so the path can only be at its bisection point.
-    rank = bisect_left(index.paths, path_order(path), key=path_order)
-    if rank == len(index.paths) or index.paths[rank] != path:
-        raise ValueError(f"path {path} does not resolve in process {process.name!r}")
-    return index.activities[rank]
+    try:
+        return index.activities[index.paths.index(path)]
+    except ValueError:
+        raise ValueError(f"path {path} does not resolve in process {process.name!r}") from None
 
 
 def find_join_points(process: ProcessModel, config: AnalysisConfig) -> list[tuple[str, Activity]]:

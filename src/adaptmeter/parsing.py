@@ -11,7 +11,7 @@ pick branch wrappers, with their conditions, and the <partnerLinks> and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from xml.parsers import expat
 
 from .errors import AdaptMeterError, MalformedXml, MissingPointcut, SelectorSyntax, StructuralError, UnsupportedElement
@@ -39,11 +39,16 @@ class Aspect(Record):
     ``enabled`` mirrors the ability to switch aspects on and off without
     touching the process; disabled aspects are ignored by default. The
     advice's activity is checked when the aspect is parsed, but not kept.
+    An advice type outside `model.ADVICE_TYPES` raises BadAdviceType, and an
+    ``enabled`` that is not a bool raises StructuralError.
     """
 
     __slots__ = ("name", "pointcuts", "advice_type", "enabled")
 
     def __init__(self, name: str, pointcuts: tuple[Pointcut, ...], advice_type: str, enabled: bool = True) -> None:
+        check_advice_type(advice_type)
+        if type(enabled) is not bool:
+            raise StructuralError(f"enabled must be True or False, got {enabled!r}")
         _set(self, "name", name)
         _set(self, "pointcuts", pointcuts)
         _set(self, "advice_type", advice_type)
@@ -194,7 +199,7 @@ def _build(text: str, root_tag: str, other_roots: bool = False):
             if role == _ACTIVITY or role == _BRANCHING:
                 if more.count("otherwise") > 1:
                     raise StructuralError("<switch> allows at most one <otherwise> branch")
-                parent[_KIDS].append(Activity(tag, name, attributes, tuple(children)))
+                parent[_KIDS].append(Activity(tag, name, attributes, children))
             elif role == _WRAPPER:
                 if len(children) != 1:
                     raise StructuralError(f"<{tag}> must wrap exactly one activity, found {len(children)}")
@@ -322,41 +327,11 @@ _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&qu
                                 "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
 
 
-def _attr_text(attributes: dict[str, str]) -> str:
-    return "".join(f' {key}="{attributes[key].translate(_ATTR_ESCAPES)}"' for key in sorted(attributes))
-
-
-def _named_attrs(name: str | None, attributes) -> dict[str, str]:
-    merged = dict(attributes)
+def _attr_text(name: str | None, attributes: Mapping[str, str]) -> str:
+    """A start tag's attributes, with ``name`` among them, sorted by name and escaped."""
     if name:
-        merged["name"] = name
-    return merged
-
-
-def _emit_activity(root: Activity, indent: int, lines: list[str]) -> None:
-    # An explicit stack, so nesting depth is not bounded by the recursion
-    # limit. Its entries are (activity, indent) pairs still to emit and
-    # ready lines (closing and branch-wrapper tags), popped in document order.
-    stack: list[tuple[Activity, int] | str] = [(root, indent)]
-    while stack:
-        entry = stack.pop()
-        if isinstance(entry, str):
-            lines.append(entry)
-            continue
-        activity, indent = entry
-        pad = "  " * indent
-        attrs = _attr_text(_named_attrs(activity.name, activity.attributes))
-        if not activity.children:
-            lines.append(f"{pad}<{activity.kind}{attrs}/>")
-            continue
-        lines.append(f"{pad}<{activity.kind}{attrs}>")
-        stack.append(f"{pad}</{activity.kind}>")
-        if activity.kind in BRANCH_ELEMENTS:
-            wrapper = BRANCH_ELEMENTS[activity.kind][0]
-            for child in reversed(activity.children):
-                stack += (f"{pad}  </{wrapper}>", (child, indent + 2), f"{pad}  <{wrapper}>")
-        else:
-            stack += ((child, indent + 1) for child in reversed(activity.children))
+        attributes = {**attributes, "name": name}
+    return "".join(f' {key}="{attributes[key].translate(_ATTR_ESCAPES)}"' for key in sorted(attributes))
 
 
 def serialize_process(process: ProcessModel) -> str:
@@ -366,9 +341,28 @@ def serialize_process(process: ProcessModel) -> str:
     bare <onMessage>, and no declaration section is written: the model
     keeps neither. Re-parsing the output yields an equal ProcessModel.
     """
-    lines = ['<?xml version="1.0" encoding="utf-8"?>']
-    attrs = _attr_text(_named_attrs(process.name, process.attributes))
-    lines.append(f"<process{attrs}>")
-    _emit_activity(process.root, 1, lines)
-    lines.append("</process>")
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', f"<process{_attr_text(process.name, process.attributes)}>"]
+    # An explicit stack, so nesting depth is not bounded by the recursion
+    # limit. Its entries are (activity, indent) pairs still to emit and
+    # ready lines (closing and branch-wrapper tags), popped in document order.
+    stack: list[tuple[Activity, int] | str] = ["</process>", (process.root, 1)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        activity, indent = entry
+        pad = "  " * indent
+        tag = f"{pad}<{activity.kind}{_attr_text(activity.name, activity.attributes)}"
+        if not activity.children:
+            lines.append(f"{tag}/>")
+            continue
+        lines.append(f"{tag}>")
+        stack.append(f"{pad}</{activity.kind}>")
+        if activity.kind in BRANCH_ELEMENTS:
+            wrapper = BRANCH_ELEMENTS[activity.kind][0]
+            for child in reversed(activity.children):
+                stack += (f"{pad}  </{wrapper}>", (child, indent + 2), f"{pad}  <{wrapper}>")
+        else:
+            stack += ((child, indent + 1) for child in reversed(activity.children))
     return "\n".join(lines) + "\n"

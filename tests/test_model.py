@@ -96,6 +96,22 @@ class TestActivityPath:
         with pytest.raises(ValueError):
             resolve_path(travel_process, "")
 
+    def test_every_path_of_a_large_tree_resolves_to_its_own_node(self):
+        rng = random.Random(20212)
+        branches = [random_process(rng, max_depth=6, max_nodes=40).root for _ in range(400)]
+        process = ProcessModel("wide", Activity("flow", children=branches))
+        index = process.index
+        assert len(index.paths) > 2000
+        for rank, path in enumerate(index.paths):
+            assert resolve_path(process, path) is index.activities[rank]
+
+    def test_a_miss_raises_value_error_naming_the_process(self, travel_process):
+        foreign = ProcessModel("other", Activity("flow", children=(Activity("invoke"),))).index.paths[-1]
+        assert foreign not in travel_process.index.paths
+        for path in ("", foreign, 5):
+            with pytest.raises(ValueError, match=r"does not resolve in process 'TravelBooking'$"):
+                resolve_path(travel_process, path)
+
     def test_a_path_is_its_text(self, travel_process):
         path = travel_process.index.paths[6]
         assert type(path) is str and path == "/process/sequence[0]/invoke[3]"
@@ -253,6 +269,25 @@ class TestActivityInvariants:
         with pytest.raises(StructuralError):
             Activity("switch")
 
+    def test_children_are_kept_as_a_tuple_of_their_own(self):
+        invoke, reply = Activity("invoke"), Activity("reply")
+        children = [invoke]
+        root = Activity("sequence", children=children)
+        process = ProcessModel("p", root)
+        children.append(reply)
+        assert root.children == (invoke,)
+        assert len(process.index.paths) == _count_nodes(process.root) == 2
+        twin = pickle.loads(pickle.dumps(process))
+        assert twin == process and len(twin.index.paths) == 2
+        assert Activity("sequence", children=[invoke]) == Activity("sequence", children=(invoke,))
+        generated = Activity("flow", children=(child for child in (invoke, reply)))
+        assert type(generated.children) is tuple and generated.children == (invoke, reply)
+
+    def test_a_child_that_is_not_an_activity_is_refused(self):
+        for child in ("invoke", None, ProcessModel("p", Activity("sequence"))):
+            with pytest.raises(StructuralError, match=r"^<flow> children must be activities, got \w+$"):
+                Activity("flow", children=(Activity("invoke"), child))
+
 
 
 class TestProcessModelInvariants:
@@ -263,6 +298,11 @@ class TestProcessModelInvariants:
     def test_basic_root_rejected(self):
         with pytest.raises(StructuralError, match=r"^process root activity must be structured, got <invoke>$"):
             ProcessModel(name="p", root=Activity("invoke"))
+
+    def test_a_root_that_is_not_an_activity_is_refused(self):
+        for root in ("oops", None, [Activity("sequence")]):
+            with pytest.raises(StructuralError, match=r"^process root must be an Activity, got \w+$"):
+                ProcessModel("x", root)
 
     def test_a_name_key_in_attributes_is_refused(self):
         # Selectors read @name from the name field, and serialize_process writes

@@ -23,7 +23,7 @@ from adaptmeter import (
     parse_process,
 )
 from adaptmeter.model import BRANCHING_KINDS
-from adaptmeter.parsing import BRANCH_ELEMENTS, MAX_NESTING, serialize_process
+from adaptmeter.parsing import BRANCH_ELEMENTS, MAX_NESTING, Aspect, serialize_process
 from conftest import FIXTURES_DIR
 from randtrees import random_process
 
@@ -252,6 +252,17 @@ class TestParseAspect:
         )
         with pytest.raises(StructuralError):
             parse_aspect(doc)
+
+    def test_an_aspect_built_in_python_is_checked_as_a_parsed_one_is(self):
+        doc = _aspect_doc("<pointcut>//invoke</pointcut>" '<advice type="before"><invoke/></advice>')
+        pointcuts = parse_aspect(doc).pointcuts
+        for enabled in ("false", 0, 1, None):
+            with pytest.raises(StructuralError, match=r"^enabled must be True or False, got "):
+                Aspect("A", pointcuts, "before", enabled)
+        for advice_type in ("sideways", "", None):
+            with pytest.raises(BadAdviceType, match=r"^advice type must be one of before, around, after, got "):
+                Aspect("A", pointcuts, advice_type)
+        assert Aspect("A", pointcuts, "after", False).enabled is False
 
     def test_unnamed_pointcuts_get_defaults(self):
         doc = _aspect_doc(

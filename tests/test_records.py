@@ -195,7 +195,8 @@ def test_records_of_another_class_are_never_equal():
         (Pointcut("a", "b"), SweepCase("a", "b")),
         (VariabilityProfile(), SweepCase((), ())),
         (JoinPointBinding("a", "p", "/process/sequence[0]", "before"),
-         Aspect("a", "p", "/process/sequence[0]", "before")),
+         NodeVD("a", "p", "/process/sequence[0]", "before")),
+        (Aspect("a", ("p",), "before", True), NodeVD("a", ("p",), "before", True)),
         (Pointcut("a", "b"), ("a", "b")),
         (selector, selector.steps),
     ]
